@@ -43,7 +43,7 @@ print("cycle:", [format_complex(z) for z in cycle.cycle_points])
 
 # J vanishes on the cycle, and the family recovers it from the pair sum
 phi, psi = cycle.cycle_points
-print(f"|J(phi, psi)| = {abs(j_invariant(p, phi, psi).value):.2e}")
+print(f"|J(phi, psi)| = {abs(j_invariant(p, phi, psi)):.2e}")
 family = period_two_pairs(p)
 pair = family.pair_for_sum(phi + psi)
 print("family pair for the same sum:",

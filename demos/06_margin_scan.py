@@ -10,10 +10,11 @@ import pathlib
 
 from ratdiff import (
     ComplexRect,
+    Parameters,
     ResultEnvelope,
     RunSpec,
+    clark_margin_at,
     emit,
-    evaluate_margin,
     format_complex,
     scan_margin,
 )
@@ -32,7 +33,7 @@ for branch in ("plus", "minus"):
     print(f"  min {report.min_value:.5f} at alpha={format_complex(report.argmin[0])}, "
           f"beta={format_complex(report.argmin[1])}")
     # the report is self-consistent: evaluating at the winner reproduces it
-    assert evaluate_margin(branch, *report.argmax) == report.max_value
+    assert clark_margin_at(Parameters(*report.argmax), branch) == report.max_value
 
 print("\nbudget monotonicity (plus branch, shared stream):")
 for budget in (1000, 10_000, 100_000):

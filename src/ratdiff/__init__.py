@@ -9,103 +9,17 @@ and SVG artifacts.
 
 __version__ = "0.1.0"
 
-from .core import (
-    IterationSettings,
-    Orbit,
-    OrbitSeed,
-    Parameters,
-    SingularError,
-    TangentMatrix,
-    iterate,
-    step,
-    tangent,
-)
-from .stability import (
-    BRANCH_MINUS,
-    BRANCH_PLUS,
-    BRANCH_SUM_MINUS_ONE,
-    BRANCH_ZERO,
-    CharCoeffs,
-    Equilibrium,
-    StabilityVerdict,
-    characteristic_roots,
-    clark_margin_at,
-    classify,
-    equilibria,
-    equilibrium_residual,
-    linearization,
-)
-from .invariants import (
-    BallCertificate,
-    EpsilonInterval,
-    HypothesisError,
-    IdentityReport,
-    JInvariant,
-    PeriodTwoFamily,
-    PeriodTwoPair,
-    TrichotomyClass,
-    admissible_epsilon,
-    ball_certificate,
-    check_identities,
-    j_invariant,
-    period_two_pairs,
-    trichotomy,
-)
-from .analysis import (
-    AnalysisSettings,
-    CycleReport,
-    EscapedOrbit,
-    LyapunovEstimate,
-    OrbitClassification,
-    SingularOrbit,
-    classify_orbit,
-    detect_convergence,
-    detect_cycle,
-    lyapunov_divergence_oracle,
-    lyapunov_max,
-)
-from .scan import (
-    ClassificationGrid,
-    ComplexRect,
-    ExtremaReport,
-    GridSpec,
-    classification_grid,
-    evaluate_margin,
-    scan_margin,
-)
-from .serialize import (
-    FormatError,
-    ResultEnvelope,
-    RunSpec,
-    emit,
-    format_complex,
-    parse_complex,
-)
+from . import analysis, core, invariants, scan, serialize, stability
+from .core import *  # noqa: F401,F403
+from .stability import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+from .scan import *  # noqa: F401,F403
+from .serialize import *  # noqa: F401,F403
 
-__all__ = [
+# every module's public names; VERDICT_UNBOUNDED is shared by two modules
+__all__ = list(dict.fromkeys([
     "__version__",
-    # core
-    "Parameters", "OrbitSeed", "IterationSettings", "Orbit", "TangentMatrix",
-    "SingularError", "step", "iterate", "tangent",
-    # stability
-    "BRANCH_MINUS", "BRANCH_PLUS", "BRANCH_ZERO", "BRANCH_SUM_MINUS_ONE",
-    "Equilibrium", "CharCoeffs", "StabilityVerdict", "equilibria",
-    "equilibrium_residual", "linearization", "clark_margin_at",
-    "characteristic_roots", "classify",
-    # invariants
-    "TrichotomyClass", "JInvariant", "IdentityReport", "PeriodTwoPair",
-    "PeriodTwoFamily", "BallCertificate", "EpsilonInterval", "HypothesisError",
-    "trichotomy", "j_invariant", "check_identities", "period_two_pairs",
-    "ball_certificate", "admissible_epsilon",
-    # analysis
-    "AnalysisSettings", "CycleReport", "LyapunovEstimate",
-    "OrbitClassification", "SingularOrbit", "EscapedOrbit",
-    "detect_convergence", "detect_cycle", "lyapunov_max",
-    "lyapunov_divergence_oracle", "classify_orbit",
-    # scan
-    "ComplexRect", "ExtremaReport", "GridSpec", "ClassificationGrid",
-    "evaluate_margin", "scan_margin", "classification_grid",
-    # serialize
-    "RunSpec", "ResultEnvelope", "FormatError", "parse_complex",
-    "format_complex", "emit",
-]
+    *core.__all__, *stability.__all__, *invariants.__all__,
+    *analysis.__all__, *scan.__all__, *serialize.__all__,
+]))

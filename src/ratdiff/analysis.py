@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    GuardTripped,
     IterationSettings,
     Orbit,
     OrbitSeed,
@@ -22,6 +23,8 @@ from .core import (
     STATUS_ESCAPED,
     STATUS_SINGULAR,
     iterate,
+    step,
+    tangent,
 )
 
 __all__ = [
@@ -31,8 +34,6 @@ __all__ = [
     "VERDICT_CHAOTIC",
     "VERDICT_SINGULAR",
     "VERDICT_UNDETERMINED",
-    "SingularOrbit",
-    "EscapedOrbit",
     "AnalysisSettings",
     "CycleReport",
     "LyapunovEstimate",
@@ -51,13 +52,7 @@ VERDICT_CHAOTIC = "chaotic"
 VERDICT_SINGULAR = "singular"
 VERDICT_UNDETERMINED = "undetermined"
 
-
-class SingularOrbit(ArithmeticError):
-    """The trajectory hit the map pole while sampling."""
-
-
-class EscapedOrbit(ArithmeticError):
-    """The trajectory left the escape radius while sampling."""
+_GUARD_VERDICTS = {STATUS_SINGULAR: VERDICT_SINGULAR, STATUS_ESCAPED: VERDICT_UNBOUNDED}
 
 
 @dataclass(frozen=True)
@@ -164,15 +159,17 @@ def detect_cycle(
     return None
 
 
-def _advance(params: Parameters, z_prev: complex, z_curr: complex,
-             settings: IterationSettings) -> tuple[complex, complex]:
-    denom = 1 + z_curr
-    if abs(denom) < settings.singular_tol:
-        raise SingularOrbit(f"pole encountered at z = {z_curr!r}")
-    z_next = (params.alpha + params.alpha * z_curr + params.beta * z_prev) / denom
-    if abs(z_next) > settings.escape_radius:
-        raise EscapedOrbit(f"|z| = {abs(z_next):.3e} exceeded the escape radius")
-    return z_curr, z_next
+def _reference_orbit(params: Parameters, seed: OrbitSeed, n_transient: int,
+                     n_sample: int, settings: IterationSettings) -> tuple[complex, ...]:
+    """Points of a completed n_transient + n_sample step orbit, or GuardTripped."""
+    if n_transient < 0 or n_sample < 1:
+        raise ValueError("need n_transient >= 0 and n_sample >= 1")
+    orbit = iterate(params, seed, IterationSettings(
+        n_transient + n_sample, settings.escape_radius, settings.singular_tol))
+    if orbit.status != STATUS_COMPLETED:
+        raise GuardTripped(orbit.status,
+                           f"orbit {orbit.status} at step {orbit.stop_step} while sampling")
+    return orbit.points
 
 
 def lyapunov_max(
@@ -188,38 +185,32 @@ def lyapunov_max(
     state map (z[n], z[n-1]) -> (z[n+1], z[n]) at every post-transient
     step and renormalized; lambda_max is the mean log growth per
     iteration.  The map is holomorphic, so the complex tangent flow
-    carries the leading exponent of the realified system.
+    carries the leading exponent of the realified system.  A tangent
+    vector that collapses to zero (beta = 0 makes the tangent map
+    nilpotent) gives lambda_max = -inf.
 
-    Raises SingularOrbit / EscapedOrbit when a guard trips during
-    sampling.
+    Raises GuardTripped when a guard trips within the sampled orbit.
     """
-    if n_sample < 1:
-        raise ValueError("n_sample must be >= 1")
-    beta = params.beta
-    z_prev, z_curr = seed.z_minus1, seed.z_0
-    for _ in range(n_transient):
-        z_prev, z_curr = _advance(params, z_prev, z_curr, settings)
-
+    points = _reference_orbit(params, seed, n_transient, n_sample, settings)
+    tol = settings.singular_tol
     w1, w2 = 1 + 0j, 0j  # tangent components along (z[n], z[n-1])
     log_sum = 0.0
-    running: list[float] = []
-    for k in range(n_sample):
-        denom = 1 + z_curr
-        if abs(denom) < settings.singular_tol:
-            raise SingularOrbit(f"pole encountered at z = {z_curr!r}")
-        a11 = -beta * z_prev / (denom * denom)
-        a12 = beta / denom
+    tail_start = n_sample - max(1, n_sample // 4)
+    tail: list[float] = []  # running means over the last quarter
+    for k, z_prev, z_curr in zip(range(n_sample), points[n_transient:], points[n_transient + 1:]):
+        a11, a12 = tangent(params, z_prev, z_curr, tol)
         w1, w2 = a11 * w1 + a12 * w2, w1
         growth = math.hypot(abs(w1), abs(w2))
+        if growth == 0:
+            return LyapunovEstimate(-math.inf, n_transient, n_sample, converged=True)
         log_sum += math.log(growth)
         w1 /= growth
         w2 /= growth
-        running.append(log_sum / (k + 1))
-        z_prev, z_curr = _advance(params, z_prev, z_curr, settings)
+        if k >= tail_start:
+            tail.append(log_sum / (k + 1))
 
-    lam = running[-1]
-    quarter = running[-max(1, n_sample // 4):]
-    drift = max(abs(v - lam) for v in quarter)
+    lam = tail[-1]
+    drift = max(abs(v - lam) for v in tail)
     return LyapunovEstimate(
         lambda_max=lam,
         n_transient=n_transient,
@@ -242,19 +233,22 @@ def lyapunov_divergence_oracle(
     reference; whenever their state-space separation exceeds 1e-2 it is
     rescaled back to delta, and the mean log growth per step is
     returned.  Independent of the tangent-map route by construction.
+
+    Raises GuardTripped when a guard trips on either orbit.
     """
     if not 1e-10 <= delta <= 1e-6:
         raise ValueError("delta must lie in [1e-10, 1e-6]")
-    z_prev, z_curr = seed.z_minus1, seed.z_0
-    for _ in range(n_transient):
-        z_prev, z_curr = _advance(params, z_prev, z_curr, settings)
-    w_prev, w_curr = z_prev, z_curr + delta
+    points = _reference_orbit(params, seed, n_transient, n, settings)
+    esc, tol = settings.escape_radius, settings.singular_tol
+    w_prev, w_curr = points[n_transient], points[n_transient + 1] + delta
 
     floor = delta * 1e-6  # keep contracting separations representable
     log_sum = 0.0
-    for _ in range(n):
-        z_prev, z_curr = _advance(params, z_prev, z_curr, settings)
-        w_prev, w_curr = _advance(params, w_prev, w_curr, settings)
+    for z_prev, z_curr in zip(points[n_transient + 1:], points[n_transient + 2:]):
+        w_prev, w_curr = w_curr, step(params, w_prev, w_curr, tol)
+        if not abs(w_curr) <= esc:
+            raise GuardTripped(STATUS_ESCAPED,
+                               f"companion |z| = {abs(w_curr):.3e} left the escape radius")
         sep = math.hypot(abs(w_curr - z_curr), abs(w_prev - z_prev))
         if sep > 1e-2 or sep < floor:
             log_sum += math.log(max(sep, floor) / delta)
@@ -283,10 +277,8 @@ def classify_orbit(
     tangent-method exponent exceeds analysis.chaos_threshold.
     """
     orbit = iterate(params, seed, settings)
-    if orbit.status == STATUS_SINGULAR:
-        return OrbitClassification(VERDICT_SINGULAR, guard_step=orbit.stop_step)
-    if orbit.status == STATUS_ESCAPED:
-        return OrbitClassification(VERDICT_UNBOUNDED, guard_step=orbit.stop_step)
+    if orbit.status != STATUS_COMPLETED:
+        return OrbitClassification(_GUARD_VERDICTS[orbit.status], guard_step=orbit.stop_step)
 
     limit = detect_convergence(orbit, analysis.convergence_tol, analysis.window)
     if limit is not None:
@@ -304,10 +296,8 @@ def classify_orbit(
             n_sample=analysis.lyapunov_sample,
             settings=settings,
         )
-    except SingularOrbit:
-        return OrbitClassification(VERDICT_SINGULAR)
-    except EscapedOrbit:
-        return OrbitClassification(VERDICT_UNBOUNDED)
+    except GuardTripped as exc:
+        return OrbitClassification(_GUARD_VERDICTS[exc.status])
     if estimate.lambda_max > analysis.chaos_threshold:
         return OrbitClassification(VERDICT_CHAOTIC, lyapunov=estimate)
     return OrbitClassification(VERDICT_UNDETERMINED, lyapunov=estimate)

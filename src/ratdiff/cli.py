@@ -14,19 +14,16 @@ where the command needs a completed one).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    EscapedOrbit,
-    SingularOrbit,
-    detect_cycle,
-    lyapunov_max,
-)
-from .core import IterationSettings, Orbit, OrbitSeed, Parameters, SingularError, iterate
+from .analysis import detect_cycle, lyapunov_max
+from .core import (STATUS_COMPLETED, STATUS_SINGULAR, GuardTripped, IterationSettings,
+                   Orbit, OrbitSeed, Parameters, iterate)
 from .invariants import HypothesisError, check_identities, trichotomy
 from .scan import ComplexRect, GridSpec, classification_grid, scan_margin
 from .serialize import (
@@ -55,9 +52,27 @@ class UsageError(Exception):
 
 def _complex_flag(text: str) -> complex:
     try:
-        return parse_complex(text)
+        z = parse_complex(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise argparse.ArgumentTypeError(f"complex literal must be finite, got {text!r}")
+    return z
+
+
+def _int_at_least(lowest: int):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lowest:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {text!r}")
+        return value
+    return convert
+
+
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
 
 
 def _seed_flag(text: str) -> tuple[complex, complex]:
@@ -100,17 +115,17 @@ _CONVERTERS = {
     "alpha": _complex_flag,
     "beta": _complex_flag,
     "seed": _seed_flag,
-    "steps": int,
+    "steps": _positive_int,
     "branch": str,
     "alpha-rect": _rect_flag,
     "beta-rect": _rect_flag,
     "rect": _rect_flag,
     "vary": str,
     "resolution": _resolution_flag,
-    "budget": int,
-    "rng-seed": int,
-    "transient": int,
-    "sample": int,
+    "budget": _positive_int,
+    "rng-seed": _nonnegative_int,
+    "transient": _nonnegative_int,
+    "sample": _positive_int,
     "out": str,
     "format": str,
 }
@@ -135,11 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value file")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=format_choices, default=None)
-        p.add_argument("--rng-seed", dest="rng_seed", type=int, default=None)
+        p.add_argument("--rng-seed", dest="rng_seed", type=_nonnegative_int, default=None)
 
     p = sub.add_parser("orbit", help="iterate the map and record the trajectory")
     common(p, seed_append=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_positive_int, default=None)
 
     for name, desc in (
         ("equilibria", "fixed points of the map"),
@@ -151,30 +166,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("period", help="detect the minimal locked cycle")
     common(p, seed_append=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_positive_int, default=None)
 
     p = sub.add_parser("lyapunov", help="largest Lyapunov exponent (tangent method)")
     common(p, seed_append=True)
-    p.add_argument("--transient", type=int, default=None)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--transient", type=_nonnegative_int, default=None)
+    p.add_argument("--sample", type=_positive_int, default=None)
 
     p = sub.add_parser("scan", help="margin extrema over parameter rectangles")
     common(p)
     p.add_argument("--branch", choices=("minus", "plus"), default=None)
     p.add_argument("--alpha-rect", dest="alpha_rect", type=_rect_flag, default=None)
     p.add_argument("--beta-rect", dest="beta_rect", type=_rect_flag, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
 
     p = sub.add_parser("grid", help="classification grid over seeds or a parameter")
     common(p, seed_append=True)
     p.add_argument("--vary", choices=("seed", "alpha", "beta"), default=None)
     p.add_argument("--rect", type=_rect_flag, default=None)
     p.add_argument("--resolution", type=_resolution_flag, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_positive_int, default=None)
 
     p = sub.add_parser("identities", help="orbit identity residuals for beta = alpha+1")
     common(p, seed_append=True)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=_positive_int, default=None)
 
     return parser
 
@@ -298,7 +313,7 @@ def _run_equilibria(spec: RunSpec) -> dict:
     for eq in equilibria(params):
         try:
             residual = equilibrium_residual(params, eq.z_bar)
-        except SingularError:
+        except GuardTripped:
             residual = None
         entries.append({
             "z": format_complex(eq.z_bar),
@@ -342,9 +357,9 @@ def _run_period(spec: RunSpec) -> dict:
     params = _params(spec)
     seed = _seed_list(spec)[0]
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
-    if orbit.status != "completed":
-        raise _NumericFailure(f"orbit {orbit.status} at step {orbit.stop_step}; "
-                              "period detection needs a completed orbit")
+    if orbit.status != STATUS_COMPLETED:
+        raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}; "
+                                         "period detection needs a completed orbit")
     report = detect_cycle(orbit)
     payload = {"kind": "period", "status": orbit.status, "period": None}
     if report is not None:
@@ -369,7 +384,9 @@ def _run_lyapunov(spec: RunSpec) -> dict:
     return {
         "kind": "lyapunov",
         "seed": [format_complex(seed.z_minus1), format_complex(seed.z_0)],
-        "lambda_max": estimate.lambda_max,
+        # JSON has no infinities: -inf (a collapsed tangent vector) goes as a string
+        "lambda_max": (estimate.lambda_max if math.isfinite(estimate.lambda_max)
+                       else repr(estimate.lambda_max)),
         "n_transient": estimate.n_transient,
         "n_sample": estimate.n_sample,
         "converged": estimate.converged,
@@ -429,8 +446,8 @@ def _run_identities(spec: RunSpec) -> dict:
     params = Parameters(alpha, beta)
     seed = _seed_list(spec)[0]
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
-    if orbit.status == "singular":
-        raise _NumericFailure(f"orbit singular at step {orbit.stop_step}")
+    if orbit.status == STATUS_SINGULAR:
+        raise GuardTripped(STATUS_SINGULAR, f"orbit singular at step {orbit.stop_step}")
     try:
         report = check_identities(params, orbit)
     except HypothesisError as exc:
@@ -443,10 +460,6 @@ def _run_identities(spec: RunSpec) -> dict:
         "gap_recursion": report.gap_recursion,
         "gap_product": report.gap_product,
     }
-
-
-class _NumericFailure(ArithmeticError):
-    pass
 
 
 _RUNNERS = {
@@ -469,7 +482,7 @@ def execute(spec: RunSpec) -> ResultEnvelope:
     error = None
     try:
         payload = _RUNNERS[spec.command](spec)
-    except (_NumericFailure, SingularError, SingularOrbit, EscapedOrbit) as exc:
+    except GuardTripped as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
     return ResultEnvelope(
         runspec=spec,

@@ -11,15 +11,14 @@ this module is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
-    "SingularError",
+    "GuardTripped",
     "Parameters",
     "OrbitSeed",
     "IterationSettings",
     "Orbit",
-    "TangentMatrix",
     "STATUS_COMPLETED",
     "STATUS_ESCAPED",
     "STATUS_SINGULAR",
@@ -33,8 +32,22 @@ STATUS_ESCAPED = "escaped"
 STATUS_SINGULAR = "singular"
 
 
-class SingularError(ArithmeticError):
-    """The denominator 1 + z[n] is within tolerance of zero (map pole)."""
+class GuardTripped(ArithmeticError):
+    """A guard stopped the computation.
+
+    status is STATUS_SINGULAR (the denominator 1 + z[n] is within
+    tolerance of zero, the map pole) or STATUS_ESCAPED (an iterate left
+    the escape radius or stopped being finite).
+    """
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _pole(z: complex) -> GuardTripped:
+    return GuardTripped(STATUS_SINGULAR,
+                        f"map pole: |1 + z| = {abs(1 + z):.3e} at z = {z!r}")
 
 
 def _require_finite(name: str, z: complex) -> None:
@@ -111,20 +124,6 @@ class Orbit:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class TangentMatrix:
-    """Jacobian of the state map (z[n], z[n-1]) -> (z[n+1], z[n]).
-
-    Companion form: a21 = 1 and a22 = 0 by construction, so only the top
-    row carries the partial derivatives of the recurrence.
-    """
-
-    a11: complex  # d z[n+1] / d z[n]
-    a12: complex  # d z[n+1] / d z[n-1]
-    a21: complex = field(default=1 + 0j)
-    a22: complex = field(default=0j)
-
-
 def step(
     params: Parameters,
     z_prev: complex,
@@ -133,11 +132,11 @@ def step(
 ) -> complex:
     """Advance one step: (z[n-1], z[n]) -> z[n+1].
 
-    Raises SingularError when |1 + z_curr| < singular_tol.
+    Raises GuardTripped (STATUS_SINGULAR) when |1 + z_curr| < singular_tol.
     """
     denom = 1 + z_curr
     if abs(denom) < singular_tol:
-        raise SingularError(f"map pole: |1 + z| = {abs(denom):.3e} at z = {z_curr!r}")
+        raise _pole(z_curr)
     return (params.alpha + params.alpha * z_curr + params.beta * z_prev) / denom
 
 
@@ -149,15 +148,15 @@ def iterate(
     """Iterate the map from seed, recording every value including the seed.
 
     Stops after settings.max_steps computed iterates (status completed),
-    when an iterate leaves the escape radius (status escaped), or when
-    the next step would divide by ~0 (status singular).
+    when an iterate leaves the escape radius or is not finite (status
+    escaped), or when the next step would divide by ~0 (status singular).
     """
     alpha, beta = params.alpha, params.beta
     esc, tol = settings.escape_radius, settings.singular_tol
     points = [seed.z_minus1, seed.z_0]
 
     for k in (0, 1):
-        if abs(points[k]) > esc:
+        if not abs(points[k]) <= esc:
             return Orbit(seed, tuple(points), STATUS_ESCAPED, k)
 
     for _ in range(settings.max_steps):
@@ -167,7 +166,7 @@ def iterate(
             return Orbit(seed, tuple(points), STATUS_SINGULAR, len(points) - 1)
         z_next = (alpha + alpha * z_curr + beta * z_prev) / denom
         points.append(z_next)
-        if abs(z_next) > esc:
+        if not abs(z_next) <= esc:
             return Orbit(seed, tuple(points), STATUS_ESCAPED, len(points) - 1)
 
     return Orbit(seed, tuple(points), STATUS_COMPLETED)
@@ -178,16 +177,16 @@ def tangent(
     z_prev: complex,
     z_curr: complex,
     singular_tol: float = 1e-12,
-) -> TangentMatrix:
-    """Jacobian of the state map at (z_prev, z_curr).
+) -> tuple[complex, complex]:
+    """Top row (a11, a12) of the Jacobian of the state map at (z_prev, z_curr).
 
-    a11 = -beta*z_prev/(1+z_curr)^2 and a12 = beta/(1+z_curr); the map is
-    holomorphic away from the pole, so these are the complex derivatives.
+    The state map (z[n], z[n-1]) -> (z[n+1], z[n]) is in companion form,
+    so its bottom row is the constant (1, 0).  a11 = d z[n+1] / d z[n] =
+    -beta*z_prev/(1+z_curr)^2 and a12 = d z[n+1] / d z[n-1] =
+    beta/(1+z_curr); the map is holomorphic away from the pole, so these
+    are the complex derivatives.
     """
     denom = 1 + z_curr
     if abs(denom) < singular_tol:
-        raise SingularError(f"map pole: |1 + z| = {abs(denom):.3e} at z = {z_curr!r}")
-    return TangentMatrix(
-        a11=-params.beta * z_prev / (denom * denom),
-        a12=params.beta / denom,
-    )
+        raise _pole(z_curr)
+    return -params.beta * z_prev / (denom * denom), params.beta / denom

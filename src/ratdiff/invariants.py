@@ -25,7 +25,6 @@ __all__ = [
     "VERDICT_UNBOUNDED",
     "HypothesisError",
     "TrichotomyClass",
-    "JInvariant",
     "IdentityReport",
     "PeriodTwoPair",
     "PeriodTwoFamily",
@@ -55,11 +54,6 @@ class TrichotomyClass:
     verdict: str
     lhs: float  # |beta|
     rhs: float  # |alpha + 1|
-
-
-@dataclass(frozen=True)
-class JInvariant:
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -99,8 +93,6 @@ class PeriodTwoFamily:
         prod = self.alpha + self.alpha * s
         disc = cmath.sqrt(s * s - 4 * prod)
         return PeriodTwoPair(phi=0.5 * (s + disc), psi=0.5 * (s - disc))
-
-    __call__ = pair_for_sum
 
 
 @dataclass(frozen=True)
@@ -145,13 +137,13 @@ def _j(alpha: complex, z_prev: complex, z_curr: complex) -> complex:
     return alpha + alpha * (z_curr + z_prev) - z_curr * z_prev
 
 
-def j_invariant(params: Parameters, z_prev: complex, z_curr: complex) -> JInvariant:
+def j_invariant(params: Parameters, z_prev: complex, z_curr: complex) -> complex:
     """alpha + alpha*(z_curr + z_prev) - z_curr*z_prev along an orbit.
 
     Zero exactly on period-two pairs; for beta = alpha + 1 it obeys
     J[n+1] = (alpha+1)/(1+z[n]) * J[n] along every orbit.
     """
-    return JInvariant(_j(params.alpha, z_prev, z_curr))
+    return _j(params.alpha, z_prev, z_curr)
 
 
 def _rel(lhs: complex, rhs: complex) -> float:

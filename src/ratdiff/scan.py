@@ -11,13 +11,12 @@ any larger budget; running extrema are therefore monotone in budget.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import AnalysisSettings, classify_orbit
-from .core import IterationSettings, OrbitSeed, Parameters, SingularError
+from .core import STATUS_SINGULAR, GuardTripped, IterationSettings, OrbitSeed, Parameters
 from .stability import BRANCH_MINUS, BRANCH_PLUS, clark_margin_at
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "ExtremaReport",
     "GridSpec",
     "ClassificationGrid",
-    "evaluate_margin",
     "scan_margin",
     "classification_grid",
 ]
@@ -44,8 +42,10 @@ class ComplexRect:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_min <= self.re_max and self.im_min <= self.im_max):
-            raise ValueError("rectangle bounds must be ordered")
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not (np.isfinite(bounds).all() and self.re_min <= self.re_max
+                and self.im_min <= self.im_max):
+            raise ValueError("rectangle bounds must be finite and ordered")
 
     @property
     def re_span(self) -> float:
@@ -81,11 +81,6 @@ class ExtremaReport:
     min_value: float
     argmin: tuple[complex, complex]
     samples: int
-
-
-def evaluate_margin(branch: str, alpha: complex, beta: complex) -> float:
-    """Clark margin |A| + |C| of the selected equilibrium branch."""
-    return clark_margin_at(Parameters(alpha, beta), branch)
 
 
 def scan_margin(
@@ -143,8 +138,8 @@ def scan_margin(
             alpha = region_alpha.point(u[0], u[1])
             beta = region_beta.point(u[2], u[3])
         try:
-            value = evaluate_margin(branch, alpha, beta)
-        except SingularError:
+            value = clark_margin_at(Parameters(alpha, beta), branch)
+        except GuardTripped:
             continue
         if not np.isfinite(value):
             continue
@@ -161,7 +156,7 @@ def scan_margin(
             level_min = min(level_min + 1, _SHRINK_LEVELS - 1)
 
     if arg_max is None:
-        raise SingularError("every sample in the scan hit the map pole")
+        raise GuardTripped(STATUS_SINGULAR, "every sample in the scan hit the map pole")
     return ExtremaReport(
         max_value=best_max,
         argmax=arg_max,
@@ -219,25 +214,11 @@ def classification_grid(
     spec: GridSpec,
     settings: IterationSettings = IterationSettings(),
     analysis: AnalysisSettings = AnalysisSettings(),
-    parallel: bool = False,
 ) -> ClassificationGrid:
-    """Verdict tag for every cell center of the grid.
-
-    Cells are independent, so evaluation order cannot matter; parallel
-    evaluation uses a thread pool and yields identical cells.
-    """
-
-    def run_cell(ixy: tuple[int, int]) -> str:
-        params, seed = spec.cell_case(*ixy)
-        return classify_orbit(params, seed, settings, analysis).verdict
-
-    coords = [(ix, iy) for iy in range(spec.ny) for ix in range(spec.nx)]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            flat = list(pool.map(run_cell, coords))
-    else:
-        flat = [run_cell(c) for c in coords]
+    """Verdict tag for every cell center of the grid."""
     rows = tuple(
-        tuple(flat[iy * spec.nx: (iy + 1) * spec.nx]) for iy in range(spec.ny)
+        tuple(classify_orbit(*spec.cell_case(ix, iy), settings, analysis).verdict
+              for ix in range(spec.nx))
+        for iy in range(spec.ny)
     )
     return ClassificationGrid(spec=spec, cells=rows)

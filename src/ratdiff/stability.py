@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .core import Parameters, SingularError, step
+from .core import STATUS_SINGULAR, GuardTripped, Parameters, step
 
 __all__ = [
     "BRANCH_MINUS",
@@ -118,7 +118,7 @@ def linearization(
     For beta = 0 the map is constant and the linearization vanishes
     identically, even when the spurious quadratic root zbar = -1 sits at
     the pole; that limit is returned directly.  Otherwise an equilibrium
-    at the pole raises SingularError.
+    at the pole raises GuardTripped.
     """
     beta = params.beta
     if beta == 0:
@@ -126,7 +126,7 @@ def linearization(
     z = eq.z_bar
     denom = 1 + z
     if abs(denom) < singular_tol:
-        raise SingularError(f"equilibrium at the map pole: z = {z!r}")
+        raise GuardTripped(STATUS_SINGULAR, f"equilibrium at the map pole: z = {z!r}")
     return CharCoeffs.of(beta * z / (denom * denom), -beta / denom)
 
 

@@ -22,22 +22,22 @@ import numpy as np
 import pytest
 
 from ratdiff import (
+    GuardTripped,
     IterationSettings,
     OrbitSeed,
     Parameters,
     ball_certificate,
     characteristic_roots,
+    clark_margin_at,
     classify,
     classify_orbit,
     detect_cycle,
     equilibria,
-    evaluate_margin,
     iterate,
     linearization,
     lyapunov_divergence_oracle,
     lyapunov_max,
 )
-from ratdiff.analysis import EscapedOrbit, SingularOrbit
 from ratdiff.invariants import check_identities
 from ratdiff.serialize import format_complex
 
@@ -92,24 +92,24 @@ def test_c01_golden_stability_values():
 
 def test_c02_margin_values_at_reported_extrema():
     alpha_plus, want_plus = cases.MARGIN_PLUS_MAX
-    got_plus = evaluate_margin("plus", alpha_plus, cases.MARGIN_BETA)
+    got_plus = clark_margin_at(Parameters(alpha_plus, cases.MARGIN_BETA), "plus")
     plus_ok = abs(got_plus - want_plus) <= 5e-3
 
     # the 19.7392 claim, checked under both readings of the ambiguous
     # "--" sign typography; disagreement is logged, not failed
     for reading in cases.MARGIN_MINUS_MAX_READINGS:
-        value = evaluate_margin("minus", reading, cases.MARGIN_MINUS_MAX_BETA)
+        value = clark_margin_at(Parameters(reading, cases.MARGIN_MINUS_MAX_BETA), "minus")
         verdict = ("agrees" if abs(value - cases.MARGIN_MINUS_MAX_VALUE) <= 5e-3
                    else "disagrees")
         _log(f"minus-branch maximum claim {cases.MARGIN_MINUS_MAX_VALUE}: "
              f"alpha reading {format_complex(reading)} -> {value:.5f} ({verdict})")
 
     alpha_minus, want_minus = cases.MARGIN_MINUS_MIN_PRINTED
-    got_minus = evaluate_margin("minus", alpha_minus, cases.MARGIN_BETA)
+    got_minus = clark_margin_at(Parameters(alpha_minus, cases.MARGIN_BETA), "minus")
     minus_ok = abs(got_minus - want_minus) <= 5e-3
     if not minus_ok:
         flipped_alpha, _ = cases.MARGIN_MINUS_MIN_ACTUAL
-        flipped = evaluate_margin("minus", flipped_alpha, cases.MARGIN_BETA)
+        flipped = clark_margin_at(Parameters(flipped_alpha, cases.MARGIN_BETA), "minus")
         _log(f"minus-branch minimum claim {want_minus}: printed argument "
              f"{format_complex(alpha_minus)} -> {got_minus:.5f} (disagrees); "
              f"sign-flipped argument {format_complex(flipped_alpha)} -> "
@@ -292,7 +292,7 @@ def test_c08_lyapunov_catalog():
             try:
                 tangent_est = lyapunov_max(p, seed, n_transient=500, n_sample=5000)
                 oracle = lyapunov_divergence_oracle(p, seed, n=5000)
-            except (SingularOrbit, EscapedOrbit):
+            except GuardTripped:
                 skipped += 1
                 continue
             if tangent_est.lambda_max <= 0:

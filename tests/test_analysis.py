@@ -3,7 +3,7 @@ import pytest
 
 from ratdiff import (
     AnalysisSettings,
-    EscapedOrbit,
+    GuardTripped,
     IterationSettings,
     OrbitSeed,
     Parameters,
@@ -146,10 +146,18 @@ def test_lyapunov_positive_for_chaotic_case():
     assert est.lambda_max > 0
 
 
+def test_lyapunov_zero_beta_is_minus_inf():
+    # the tangent map is nilpotent, so the tangent vector vanishes
+    est = lyapunov_max(Parameters(0.3 + 0.1j, 0), OrbitSeed(0.1, 0.2))
+    assert est.lambda_max == -np.inf
+    assert est.converged
+
+
 def test_lyapunov_escape_raises():
-    with pytest.raises(EscapedOrbit):
+    with pytest.raises(GuardTripped) as excinfo:
         lyapunov_max(Parameters(40 + 33j, 27 + 77j), OrbitSeed(0.1, 0.2),
                      n_transient=0, n_sample=5000)
+    assert excinfo.value.status == "escaped"
 
 
 def test_divergence_oracle_negative_for_stable():

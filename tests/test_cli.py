@@ -287,6 +287,29 @@ def test_exit_two_on_usage():
     assert "--beta" in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--alpha", "1e400", "--beta", "1"],
+    ["orbit", "--alpha", "1", "--beta", "1", "--steps", "0"],
+    ["scan", "--branch", "plus", "--alpha-rect=0,1,0,1", "--beta-rect=0,1,0,1",
+     "--budget", "0"],
+    ["lyapunov", "--alpha", "1", "--beta", "1", "--sample", "0"],
+    ["lyapunov", "--alpha", "1", "--beta", "1", "--transient=-1"],
+    ["orbit", "--alpha", "1", "--beta", "1", "--rng-seed=-1"],
+    ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-inf,1,0,1"],
+])
+def test_exit_two_on_out_of_range_value(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+def test_config_values_are_range_checked(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1\nbeta = 1\nsteps = 0\n")
+    with pytest.raises(UsageError, match="steps"):
+        parse_args(["orbit", "--config", str(cfg)])
+
+
 def test_exit_three_on_unwritable_out():
     result = run_cli("trichotomy", "--alpha", "1+0i", "--beta", "0.5+0i",
                      "--out", "/nonexistent-dir/report.json")
@@ -312,7 +335,21 @@ def test_exit_three_on_numeric_failure():
                      "--seed", "0.1+0i,0.2+0i")
     assert result.returncode == 3
     envelope = json.loads(result.stdout)
-    assert envelope["error"]["type"] == "_NumericFailure"
+    assert envelope["error"]["type"] == "GuardTripped"
+
+
+def test_lyapunov_zero_beta_writes_minus_inf():
+    # beta = 0 makes the tangent map nilpotent; the payload must stay JSON
+    result = run_cli("lyapunov", "--alpha", "0.3+0.1i", "--beta", "0",
+                     "--seed", "0.1,0.2")
+    assert result.returncode == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(result.stdout, parse_constant=reject)["payload"]
+    assert payload["lambda_max"] == "-inf"
+    assert payload["converged"] is True
 
 
 def test_main_returns_codes_directly(tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ratdiff import (
+    GuardTripped,
     IterationSettings,
     OrbitSeed,
     Parameters,
-    SingularError,
+    classify_orbit,
     equilibria,
     iterate,
     step,
@@ -32,12 +33,13 @@ def test_step_fixes_equilibria():
 
 
 def test_step_pole_raises():
-    with pytest.raises(SingularError):
+    with pytest.raises(GuardTripped) as excinfo:
         step(Parameters(1, 1), 0.5, -1)
+    assert excinfo.value.status == "singular"
 
 
 def test_step_near_pole_raises():
-    with pytest.raises(SingularError):
+    with pytest.raises(GuardTripped):
         step(Parameters(1, 1), 0.5, -1 + 1e-13j)
 
 
@@ -47,7 +49,7 @@ def test_step_never_returns_nonfinite():
         a, b, zp, zc = (complex(*rng.uniform(-5, 5, 2)) for _ in range(4))
         try:
             z = step(Parameters(a, b), zp, zc)
-        except SingularError:
+        except GuardTripped:
             continue
         assert cmath.isfinite(z)
 
@@ -85,6 +87,16 @@ def test_iterate_escapes_for_large_parameters():
     assert abs(orbit.points[orbit.stop_step]) > 1e6
 
 
+def test_iterate_nonfinite_iterate_escapes():
+    # 1e308j * 3j + 1e308 * 2 overflows to -inf + inf = nan, which no
+    # magnitude bound catches; the guard must call it escaped
+    p, seed = Parameters(1e308j, 1e308), OrbitSeed(2, 3j)
+    orbit = iterate(p, seed, IterationSettings(max_steps=10))
+    assert orbit.status == "escaped"
+    assert orbit.stop_step == 2 and not cmath.isfinite(orbit.points[2])
+    assert classify_orbit(p, seed).verdict == "unbounded"
+
+
 def test_iterate_zero_map_reaches_zero():
     orbit = iterate(Parameters(0, 0), OrbitSeed(2 + 3j, -0.7j),
                     IterationSettings(max_steps=10))
@@ -120,22 +132,20 @@ def test_iterate_deterministic_bitwise():
 
 
 def test_tangent_zero_beta():
-    t = tangent(Parameters(2 - 1j, 0), 0.4 + 0.1j, 1.3j)
-    assert t.a11 == 0 and t.a12 == 0
-    assert t.a21 == 1 and t.a22 == 0
+    assert tangent(Parameters(2 - 1j, 0), 0.4 + 0.1j, 1.3j) == (0, 0)
 
 
 def test_tangent_golden_moduli():
     # alpha = beta = 1+1i at the stable equilibrium
     p = Parameters(1 + 1j, 1 + 1j)
     z = equilibria(p)[1].z_bar
-    t = tangent(p, z, z)
-    assert abs(-t.a11) == pytest.approx(0.340882, abs=1e-4)
-    assert abs(t.a12) == pytest.approx(0.439849, abs=1e-4)
+    a11, a12 = tangent(p, z, z)
+    assert abs(-a11) == pytest.approx(0.340882, abs=1e-4)
+    assert abs(a12) == pytest.approx(0.439849, abs=1e-4)
 
 
 def test_tangent_pole_raises():
-    with pytest.raises(SingularError):
+    with pytest.raises(GuardTripped):
         tangent(Parameters(1, 2), 0.3, -1 + 1e-14j)
 
 
@@ -149,9 +159,9 @@ def test_tangent_matches_finite_differences():
         if abs(1 + zc) <= 1e-3:
             continue
         p = Parameters(a, b)
-        t = tangent(p, zp, zc)
+        a11, a12 = tangent(p, zp, zc)
         d_curr = (step(p, zp, zc + h) - step(p, zp, zc - h)) / (2 * h)
         d_prev = (step(p, zp + h, zc) - step(p, zp - h, zc)) / (2 * h)
-        assert abs(t.a11 - d_curr) <= 1e-5 * (1 + abs(d_curr))
-        assert abs(t.a12 - d_prev) <= 1e-5 * (1 + abs(d_prev))
+        assert abs(a11 - d_curr) <= 1e-5 * (1 + abs(d_curr))
+        assert abs(a12 - d_prev) <= 1e-5 * (1 + abs(d_prev))
         checked += 1

@@ -9,8 +9,8 @@ from ratdiff import (
     OrbitSeed,
     Parameters,
     classification_grid,
+    clark_margin_at,
     classify_orbit,
-    evaluate_margin,
     scan_margin,
 )
 
@@ -23,11 +23,11 @@ def _point_rect(z: complex) -> ComplexRect:
     return ComplexRect(z.real, z.real, z.imag, z.imag)
 
 
-def test_evaluate_margin_matches_reference_points():
+def test_clark_margin_matches_reference_points():
     alpha, expected = cases.MARGIN_PLUS_MAX
-    assert evaluate_margin("plus", alpha, cases.MARGIN_BETA) \
+    assert clark_margin_at(Parameters(alpha, cases.MARGIN_BETA), "plus") \
         == pytest.approx(expected, abs=5e-3)
-    assert evaluate_margin("minus", 0.4 + 0.2j, 0) == 0
+    assert clark_margin_at(Parameters(0.4 + 0.2j, 0), "minus") == 0
 
 
 def test_scan_collapsed_region_is_direct_evaluation():
@@ -35,7 +35,7 @@ def test_scan_collapsed_region_is_direct_evaluation():
     beta = -0.2 + 0.1j
     report = scan_margin("plus", _point_rect(alpha), _point_rect(beta),
                          budget=25, rng_seed=0)
-    direct = evaluate_margin("plus", alpha, beta)
+    direct = clark_margin_at(Parameters(alpha, beta), "plus")
     assert report.max_value == direct
     assert report.min_value == direct
     assert report.argmax == (alpha, beta)
@@ -55,7 +55,7 @@ def test_scan_minus_branch_claim_is_falsified():
     report = scan_margin("minus", UNIT, UNIT, budget=30_000, rng_seed=11)
     assert report.min_value < 1.0
     # the counterexample is genuine: direct evaluation confirms it
-    assert evaluate_margin("minus", *report.argmin) == report.min_value
+    assert clark_margin_at(Parameters(*report.argmin), "minus") == report.min_value
 
 
 def test_scan_three_by_three_brute_force():
@@ -67,7 +67,7 @@ def test_scan_three_by_three_brute_force():
         report = scan_margin("plus", _point_rect(alpha), _point_rect(beta),
                              budget=5, rng_seed=1)
         values.append(report.max_value)
-    brute = [evaluate_margin("plus", alpha, beta) for alpha in alphas]
+    brute = [clark_margin_at(Parameters(alpha, beta), "plus") for alpha in alphas]
     assert values == brute
 
 
@@ -88,8 +88,8 @@ def test_scan_monotone_in_budget():
 
 def test_scan_report_self_consistent():
     report = scan_margin("minus", UNIT, UNIT, budget=3000, rng_seed=9)
-    assert abs(evaluate_margin("minus", *report.argmax) - report.max_value) <= 1e-12
-    assert abs(evaluate_margin("minus", *report.argmin) - report.min_value) <= 1e-12
+    assert abs(clark_margin_at(Parameters(*report.argmax), "minus") - report.max_value) <= 1e-12
+    assert abs(clark_margin_at(Parameters(*report.argmin), "minus") - report.min_value) <= 1e-12
     assert report.max_value >= report.min_value
     assert report.samples <= 3000
 
@@ -132,13 +132,16 @@ def test_grid_seed_mode_majority_chaotic():
     assert len(chaotic) > len(surviving) / 2
 
 
-def test_grid_parallel_matches_serial():
+def test_grid_matches_per_cell_classification():
     alpha, beta, *_ = cases.CHAOTIC_CASES[1]
     spec = GridSpec(vary="seed", region=ComplexRect(-0.6, 0.6, -0.6, 0.6),
                     nx=4, ny=3, params=Parameters(alpha, beta))
-    serial = classification_grid(spec, _FAST, _FAST_ANALYSIS, parallel=False)
-    threaded = classification_grid(spec, _FAST, _FAST_ANALYSIS, parallel=True)
-    assert serial.cells == threaded.cells
+    grid = classification_grid(spec, _FAST, _FAST_ANALYSIS)
+    assert grid.cells == tuple(
+        tuple(classify_orbit(*spec.cell_case(ix, iy), _FAST, _FAST_ANALYSIS).verdict
+              for ix in range(spec.nx))
+        for iy in range(spec.ny)
+    )
 
 
 def test_grid_alpha_mode():
