@@ -8,6 +8,7 @@ Lyapunov exponent of the surviving bounded, aperiodic orbits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .core import (
     STATUS_COMPLETED,
     STATUS_ESCAPED,
     STATUS_SINGULAR,
+    _lane_step,
     iterate,
     step,
     tangent,
@@ -43,6 +45,7 @@ __all__ = [
     "lyapunov_max",
     "lyapunov_divergence_oracle",
     "classify_orbit",
+    "classify_lanes",
 ]
 
 VERDICT_CONVERGES = "converges"
@@ -102,7 +105,10 @@ def detect_convergence(orbit: Orbit, tol: float = 1e-9, window: int = 32) -> com
     """
     if orbit.status != STATUS_COMPLETED or len(orbit.points) < window:
         return None
-    tail = np.asarray(orbit.points[-window:], dtype=complex)
+    return _settled_mean(np.asarray(orbit.points[-window:], dtype=complex), tol)
+
+
+def _settled_mean(tail: np.ndarray, tol: float) -> complex | None:
     mean = tail.mean()
     if np.abs(tail - mean).max() <= tol:
         return complex(mean)
@@ -301,3 +307,182 @@ def classify_orbit(
     if estimate.lambda_max > analysis.chaos_threshold:
         return OrbitClassification(VERDICT_CHAOTIC, lyapunov=estimate)
     return OrbitClassification(VERDICT_UNDETERMINED, lyapunov=estimate)
+
+
+def _keep(lanes: dict, keep: np.ndarray) -> None:
+    """Drop the lanes not in keep from every working array (lane axis last)."""
+    for key, value in lanes.items():
+        lanes[key] = value[..., keep]
+
+
+def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray],
+            slack: float = 0.0) -> None:
+    """Record the verdict of each open masked lane and close it.
+
+    Closed lanes leave the working arrays once they make up more than
+    `slack` of them.  The per-step guard checks allow a quarter: dropping
+    a few lanes at every step reallocates every array each time and
+    fragments the heap, which showed as peak memory.
+    """
+    is_open = lanes["open"]
+    done = functools.reduce(np.logical_or, masks.values()) & is_open
+    if done.any():
+        for verdict, mask in masks.items():
+            verdicts[lanes["id"][mask & is_open]] = verdict
+        is_open &= ~done
+    if np.count_nonzero(is_open) < (1 - slack) * is_open.size:
+        _keep(lanes, is_open)
+
+
+def _advance(lanes: dict, verdicts: np.ndarray, settings: IterationSettings) -> None:
+    """Step every lane once, closing the lanes that trip a guard with its verdict."""
+    z_next, singular, escaped = _lane_step(lanes["a"], lanes["b"], lanes["prev"], lanes["curr"],
+                                           settings.singular_tol, settings.escape_radius)
+    lanes["prev"], lanes["curr"] = lanes["curr"], z_next
+    _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped}, slack=0.25)
+
+
+def _tangent_step(lanes: dict) -> None:
+    """lyapunov_max's renormalized tangent step at (prev, curr), on every lane.
+
+    numpy complex arithmetic rounds differently from CPython's, which is
+    harmless here: lambda is only compared with chaos_threshold, never
+    emitted.  The Jacobian's pole guard needs no check: the orbit guard
+    already passed every point the tangent visits.
+    """
+    z_prev, z, beta = lanes["prev"], lanes["curr"], lanes["b"]
+    denom = 1 + z
+    # a11*w1 + a12*w2 with a11 = -beta*z_prev/denom**2, a12 = beta/denom
+    w1 = beta / denom * (lanes["w2"] - z_prev / denom * lanes["w1"])
+    w2 = lanes["w1"]
+    growth = np.hypot(np.abs(w1), np.abs(w2))
+    lanes["collapsed"] |= growth == 0
+    lanes["log_sum"] += np.log(growth)
+    lanes["w1"], lanes["w2"] = w1 / growth, w2 / growth
+
+
+def _periodic_tails(lanes: dict, tail_length: int, periods: int,
+                    settings: IterationSettings, analysis: AnalysisSettings) -> np.ndarray:
+    """detect_cycle's answer for each lane, replaying its tail from the transient cut.
+
+    lanes["cut_prev"], lanes["cut_curr"] hold (points[cut - 1], points[cut]).
+    A ring keeps the last `periods` tail points; a (period, lane) pair
+    stays listed while every pair of tail points that far apart has
+    held.  Once every period has been tried, lanes with none listed
+    stop replaying.
+    """
+    count = lanes["id"].size
+    cyc = {"pos": np.arange(count), "a": lanes["a"], "b": lanes["b"],
+           "prev": lanes.pop("cut_prev"), "curr": lanes.pop("cut_curr"),
+           "ring": np.empty((periods, count), dtype=complex)}  # tail[i] in row i % periods
+    period = lane = np.empty(0, dtype=np.intp)
+    for j in range(tail_length):  # cyc["curr"] is tail[j]
+        z, ring = cyc["curr"], cyc["ring"]
+        if 1 <= j <= periods:  # period j meets its first pair
+            period = np.concatenate((period, np.full(z.size, j)))
+            lane = np.concatenate((lane, np.arange(z.size)))
+        past = ring[(j - period) % periods, lane]
+        held = np.abs(z[lane] - past) <= analysis.cycle_tol * (1 + np.abs(past))
+        period, lane = period[held], lane[held]
+        ring[j % periods] = z
+        if j >= periods:
+            keep = np.zeros(z.size, dtype=bool)
+            keep[lane] = True
+            if not keep.all():
+                lane = (np.cumsum(keep) - 1)[lane]
+                _keep(cyc, keep)
+        if j == tail_length - 1 or not cyc["pos"].size:
+            break
+        cyc["prev"], cyc["curr"] = cyc["curr"], _lane_step(
+            cyc["a"], cyc["b"], cyc["prev"], cyc["curr"],
+            settings.singular_tol, settings.escape_radius)[0]
+    periodic = np.zeros(count, dtype=bool)
+    periodic[cyc["pos"][lane]] = True
+    return periodic
+
+
+def classify_lanes(
+    alpha,
+    beta,
+    z_minus1,
+    z_0,
+    settings: IterationSettings = IterationSettings(),
+    analysis: AnalysisSettings = AnalysisSettings(),
+) -> list[str]:
+    """classify_orbit's verdict for many orbits, advanced in lockstep.
+
+    The four complex arrays (or scalars) broadcast to one flat axis of
+    lanes; verdict i equals classify_orbit(Parameters(alpha[i], beta[i]),
+    OrbitSeed(z_minus1[i], z_0[i]), settings, analysis).verdict.
+
+    Each arithmetic step is one numpy operation over every undecided
+    lane, and no lane's orbit is stored whole.  The first pass iterates
+    settings.max_steps steps with the tangent estimate alongside, keeping
+    the last analysis.window points and the state at the transient cut;
+    lanes leave at a guard trip or a settled window.  The second replays
+    the rest from the cut through the cycle test.  The third extends the
+    orbit, guards included, while the Lyapunov sample reaches beyond it.
+    """
+    lanes = dict(zip(("a", "b", "prev", "curr"), (np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0))))))
+    count = lanes["a"].size
+    lanes["id"] = np.arange(count)
+    lanes["open"] = np.ones(count, dtype=bool)
+    lanes["w1"] = np.ones(count, dtype=complex)  # tangent along (z[n], z[n-1])
+    lanes["w2"] = np.zeros(count, dtype=complex)
+    lanes["log_sum"] = np.zeros(count)
+    lanes["collapsed"] = np.zeros(count, dtype=bool)
+    verdicts = np.full(count, VERDICT_UNDETERMINED, dtype=object)
+    n = settings.max_steps + 2  # points of a completed orbit, seed included
+    cut = _transient_cut(n, analysis.max_period)
+    periods = min(analysis.max_period, n - cut - 1)  # detect_cycle tries 1..periods
+    lt, ls = analysis.lyapunov_transient, analysis.lyapunov_sample
+    tangent_ok = lt >= 0 and ls >= 1
+    window = range(n)[-analysis.window:] if n >= analysis.window else None
+    esc = settings.escape_radius
+
+    with np.errstate(all="ignore"):
+        outside = [~(np.hypot(z.real, z.imag) <= esc) for z in (lanes["prev"], lanes["curr"])]
+        _decide(lanes, verdicts, {VERDICT_UNBOUNDED: outside[0] | outside[1]})
+        for m in range(1, n):  # lanes["curr"] is points[m]
+            if not lanes["id"].size:
+                return verdicts.tolist()
+            if m == cut:
+                lanes["cut_prev"], lanes["cut_curr"] = lanes["prev"], lanes["curr"]
+            if window and m >= window.start:
+                if "tail" not in lanes:
+                    lanes["tail"] = np.empty((len(window), lanes["id"].size), dtype=complex)
+                    if window.start == 0:
+                        lanes["tail"][0] = lanes["prev"]
+                lanes["tail"][m - window.start] = lanes["curr"]
+            if tangent_ok and lt < m <= lt + ls:
+                _tangent_step(lanes)
+            if m < n - 1:
+                _advance(lanes, verdicts, settings)
+
+        if window is not None:
+            tail = lanes.pop("tail", np.empty((0, lanes["id"].size), dtype=complex))
+            settled = [_settled_mean(np.ascontiguousarray(tail[:, i]), analysis.convergence_tol)
+                       is not None for i in range(tail.shape[1])]
+            del tail
+            _decide(lanes, verdicts, {VERDICT_CONVERGES: np.array(settled, dtype=bool)})
+
+        if periods >= 1:
+            _decide(lanes, verdicts, {VERDICT_PERIODIC: _periodic_tails(
+                lanes, n - cut, periods, settings, analysis)})
+        lanes.pop("cut_prev", None)
+        lanes.pop("cut_curr", None)
+        if not tangent_ok and lanes["id"].size:
+            raise ValueError("need n_transient >= 0 and n_sample >= 1")
+
+        # lyapunov_max's reference orbit holds points[:lt + ls + 2]
+        for m in range(n, lt + ls + 2):
+            if not lanes["id"].size:
+                break
+            _advance(lanes, verdicts, settings)
+            if lt < m <= lt + ls:
+                _tangent_step(lanes)
+
+        lam = np.where(lanes["collapsed"], -np.inf, lanes["log_sum"] / ls)
+        _decide(lanes, verdicts, {VERDICT_CHAOTIC: lam > analysis.chaos_threshold})
+    return verdicts.tolist()

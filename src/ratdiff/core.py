@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "GuardTripped",
     "Parameters",
@@ -170,6 +172,45 @@ def iterate(
             return Orbit(seed, tuple(points), STATUS_ESCAPED, len(points) - 1)
 
     return Orbit(seed, tuple(points), STATUS_COMPLETED)
+
+
+def _lane_step(alpha, beta, z_prev, z_curr, singular_tol, escape_radius):
+    """One guarded step of many orbits at once, each lane one orbit.
+
+    The arguments are complex128 arrays (or complex scalars) that
+    broadcast against each other; the arithmetic runs on their float64
+    real and imaginary parts.  Returns (z_next, singular, escaped):
+    singular marks lanes whose |1 + z_curr| is below singular_tol (their
+    z_next is meaningless), escaped marks the other lanes whose z_next
+    left the escape radius or is not finite, exactly as iterate() decides.
+
+    The real formulas repeat CPython's complex product and quotient
+    (_Py_c_prod, and Smith's method in _Py_c_quot) operation by
+    operation, so each lane gets the bits step() gives.  numpy's complex
+    multiply, divide and abs round differently in a large share of cases,
+    which chaotic orbits would amplify.  Call under np.errstate(all="ignore"):
+    the Smith branch not taken may divide by zero.
+    """
+    a_re, a_im, b_re, b_im = alpha.real, alpha.imag, beta.real, beta.imag
+    p_re, p_im, c_re, c_im = z_prev.real, z_prev.imag, z_curr.real, z_curr.imag
+    # alpha + alpha*z_curr + beta*z_prev, summed left to right
+    n_re = (a_re + (a_re * c_re - a_im * c_im)) + (b_re * p_re - b_im * p_im)
+    n_im = (a_im + (a_re * c_im + a_im * c_re)) + (b_re * p_im + b_im * p_re)
+    # 1 + z_curr promotes 1 to 1+0j, so -0.0 imaginary parts become +0.0
+    d_re = 1.0 + c_re
+    d_im = 0.0 + c_im
+    real_major = np.abs(d_re) >= np.abs(d_im)
+    major = np.where(real_major, d_re, d_im)
+    minor = np.where(real_major, d_im, d_re)
+    ratio = minor / major
+    denom = major + minor * ratio
+    x_re = np.where(real_major, n_re + n_im * ratio, n_re * ratio + n_im) / denom
+    x_im = np.where(real_major, n_im - n_re * ratio, n_im * ratio - n_re) / denom
+    singular = np.hypot(d_re, d_im) < singular_tol
+    escaped = ~(np.hypot(x_re, x_im) <= escape_radius) & ~singular
+    z_next = np.empty(x_re.shape, dtype=complex)
+    z_next.real, z_next.imag = x_re, x_im
+    return z_next, singular, escaped
 
 
 def tangent(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AnalysisSettings, classify_orbit
+from .analysis import AnalysisSettings, classify_lanes
 from .core import STATUS_SINGULAR, GuardTripped, IterationSettings, OrbitSeed, Parameters
 from .stability import BRANCH_MINUS, BRANCH_PLUS, clark_margin_at
 
@@ -46,6 +46,8 @@ class ComplexRect:
         if not (np.isfinite(bounds).all() and self.re_min <= self.re_max
                 and self.im_min <= self.im_max):
             raise ValueError("rectangle bounds must be finite and ordered")
+        if not np.isfinite((self.re_span, self.im_span)).all():
+            raise ValueError("rectangle spans must be finite")
 
     @property
     def re_span(self) -> float:
@@ -210,15 +212,26 @@ class ClassificationGrid:
     cells: tuple[tuple[str, ...], ...]  # cells[iy][ix], row-major in im
 
 
+def _cell_lanes(spec: GridSpec) -> tuple[np.ndarray, ...]:
+    """(alpha, beta, z_minus1, z_0) arrays over the cells, row-major in im.
+
+    The per-cell objects die here, before the batch allocates its arrays.
+    """
+    cases = [spec.cell_case(ix, iy) for iy in range(spec.ny) for ix in range(spec.nx)]
+    return tuple(np.array(column, dtype=complex) for column in zip(
+        *((p.alpha, p.beta, s.z_minus1, s.z_0) for p, s in cases)))
+
+
 def classification_grid(
     spec: GridSpec,
     settings: IterationSettings = IterationSettings(),
     analysis: AnalysisSettings = AnalysisSettings(),
 ) -> ClassificationGrid:
-    """Verdict tag for every cell center of the grid."""
-    rows = tuple(
-        tuple(classify_orbit(*spec.cell_case(ix, iy), settings, analysis).verdict
-              for ix in range(spec.nx))
-        for iy in range(spec.ny)
-    )
+    """Verdict tag for every cell center of the grid.
+
+    All cells run in lockstep through classify_lanes; cell (ix, iy) gets
+    classify_orbit(*spec.cell_case(ix, iy), settings, analysis).verdict.
+    """
+    verdicts = classify_lanes(*_cell_lanes(spec), settings, analysis)
+    rows = tuple(tuple(verdicts[iy * spec.nx:(iy + 1) * spec.nx]) for iy in range(spec.ny))
     return ClassificationGrid(spec=spec, cells=rows)

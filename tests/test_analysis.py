@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ratdiff import (
     IterationSettings,
     OrbitSeed,
     Parameters,
+    classify_lanes,
     classify_orbit,
     detect_convergence,
     detect_cycle,
@@ -257,3 +260,62 @@ def test_classify_deterministic_and_total():
         assert first.verdict == second.verdict
         assert first.verdict in {"converges", "periodic", "unbounded",
                                  "chaotic", "singular", "undetermined"}
+
+
+# --- lockstep classification ---------------------------------------------------
+
+def _threshold(holds, lo, hi):
+    """Smallest float in (lo, hi] at which the monotone predicate holds."""
+    while np.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("params, seed", [
+    (Parameters(1 + 1j, 1 + 1j), OrbitSeed(0.5, 0.3)),  # settles: the tail's first pairs bind
+    (Parameters(0.5, 2 + 0.3j), None),  # leaves an equilibrium: the last pairs bind
+])
+def test_lanes_agree_at_decision_boundaries(params, seed):
+    # tolerances sit exactly on the scalar classifier's decision boundary,
+    # so a window, transient cut or ring slot one point off flips a verdict
+    if seed is None:
+        z_bar = equilibria(params)[1].z_bar
+        seed = OrbitSeed(z_bar + 1e-9, z_bar)
+    iteration = IterationSettings(max_steps=100)
+    orbit = iterate(params, seed, iteration)
+    quick = AnalysisSettings(lyapunov_transient=20, lyapunov_sample=50)
+    limit_tol = _threshold(
+        lambda t: detect_convergence(orbit, t, quick.window) is not None, 0.0, 1.0)
+    pairs = [[replace(quick, convergence_tol=tol, max_period=1)
+              for tol in (limit_tol, np.nextafter(limit_tol, 0))]]
+    for max_period in (1, 3):
+        cycle_tol = _threshold(
+            lambda t: detect_cycle(orbit, t, max_period) is not None, 0.0, 1.0)
+        pairs.append([replace(quick, convergence_tol=0.0, max_period=max_period, cycle_tol=tol)
+                      for tol in (cycle_tol, np.nextafter(cycle_tol, 0))])
+    for pair in pairs:
+        verdicts = [classify_orbit(params, seed, iteration, analysis).verdict for analysis in pair]
+        assert verdicts[0] != verdicts[1]
+        for analysis, verdict in zip(pair, verdicts):
+            assert classify_lanes(params.alpha, params.beta, seed.z_minus1, seed.z_0,
+                                  iteration, analysis) == [verdict]
+
+
+def test_lanes_extend_the_orbit_past_the_lyapunov_sample():
+    # lyapunov_max's reference orbit runs one point past its last tangent
+    # step, so an escape exactly there makes the orbit unbounded
+    params, seed = Parameters(0.2278 + 0.321j, -0.25 + 1.3j), OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j)
+    escape = iterate(params, seed, IterationSettings(max_steps=2000)).stop_step
+    iteration = IterationSettings(max_steps=100)
+    verdicts = []
+    for sample in (escape - 51, escape - 52):
+        analysis = AnalysisSettings(lyapunov_transient=50, lyapunov_sample=sample)
+        verdict = classify_orbit(params, seed, iteration, analysis).verdict
+        assert classify_lanes(params.alpha, params.beta, seed.z_minus1, seed.z_0,
+                              iteration, analysis) == [verdict]
+        verdicts.append(verdict)
+    assert verdicts[0] == "unbounded" != verdicts[1]

@@ -296,6 +296,8 @@ def test_exit_two_on_usage():
     ["lyapunov", "--alpha", "1", "--beta", "1", "--transient=-1"],
     ["orbit", "--alpha", "1", "--beta", "1", "--rng-seed=-1"],
     ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-inf,1,0,1"],
+    ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-1e308,1e308,-1,1"],
+    ["scan", "--branch", "plus", "--alpha-rect=-1e308,1e308,-1,1", "--beta-rect=0,1,0,1"],
 ])
 def test_exit_two_on_out_of_range_value(argv):
     result = run_cli(*argv)

@@ -14,6 +14,7 @@ from ratdiff import (
     step,
     tangent,
 )
+from ratdiff.core import _lane_step
 
 
 def test_step_zero_parameters():
@@ -129,6 +130,42 @@ def test_iterate_deterministic_bitwise():
     a = iterate(p, seed, s)
     b = iterate(p, seed, s)
     assert a.points == b.points and a.status == b.status
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def test_lane_step_matches_step_bit_for_bit():
+    # the batched grid's orbit kernel must round exactly like CPython's
+    # complex arithmetic, signed zeros included, in both Smith branches
+    rng = np.random.default_rng(11)
+    n = 3000
+
+    def draw():
+        z = np.empty(n, dtype=complex)
+        for part in (z.real, z.imag):
+            part[:] = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-3, 3, n)
+            part[rng.random(n) < 0.05] = 0.0
+            part[rng.random(n) < 0.05] = -0.0
+        return z
+
+    alpha, beta, z_prev, z_curr = draw(), draw(), draw(), draw()
+    z_curr[:50] = -1  # on the pole
+    with np.errstate(all="ignore"):
+        z_next, singular, escaped = _lane_step(alpha, beta, z_prev, z_curr, 1e-12, 50.0)
+    real_major = np.abs(1 + z_curr.real) >= np.abs(z_curr.imag)
+    assert 0.2 < real_major.mean() < 0.8
+    for i in range(n):
+        try:
+            expected = step(Parameters(alpha[i], beta[i]), complex(z_prev[i]), complex(z_curr[i]))
+        except GuardTripped:
+            assert singular[i] and not escaped[i]
+            continue
+        assert not singular[i]
+        assert _bits(complex(z_next[i])) == _bits(expected)
+        assert escaped[i] == (not abs(expected) <= 50.0)
+    assert singular.sum() == 50 and 0 < escaped.sum() < n
 
 
 def test_tangent_zero_beta():

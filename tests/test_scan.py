@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ratdiff import (
     AnalysisSettings,
@@ -101,6 +103,8 @@ def test_scan_validates_inputs():
         scan_margin("center", UNIT, UNIT, budget=10, rng_seed=0)
     with pytest.raises(ValueError):
         ComplexRect(1, -1, 0, 1)
+    with pytest.raises(ValueError):
+        ComplexRect(-1e308, 1e308, 0, 1)  # finite bounds, overflowing span
 
 
 # --- classification grids ------------------------------------------------------
@@ -132,16 +136,64 @@ def test_grid_seed_mode_majority_chaotic():
     assert len(chaotic) > len(surviving) / 2
 
 
+def _per_cell(spec, iteration, analysis):
+    return tuple(
+        tuple(classify_orbit(*spec.cell_case(ix, iy), iteration, analysis).verdict
+              for ix in range(spec.nx))
+        for iy in range(spec.ny)
+    )
+
+
 def test_grid_matches_per_cell_classification():
     alpha, beta, *_ = cases.CHAOTIC_CASES[1]
     spec = GridSpec(vary="seed", region=ComplexRect(-0.6, 0.6, -0.6, 0.6),
                     nx=4, ny=3, params=Parameters(alpha, beta))
     grid = classification_grid(spec, _FAST, _FAST_ANALYSIS)
-    assert grid.cells == tuple(
-        tuple(classify_orbit(*spec.cell_case(ix, iy), _FAST, _FAST_ANALYSIS).verdict
-              for ix in range(spec.nx))
-        for iy in range(spec.ny)
-    )
+    assert grid.cells == _per_cell(spec, _FAST, _FAST_ANALYSIS)
+
+
+def test_grid_mixed_verdicts_match_per_cell_classification():
+    # lanes leave the batch at different steps and for every reason
+    alpha, beta, *_ = cases.CHAOTIC_CASES[0]
+    spec = GridSpec(vary="beta", region=ComplexRect(-1.5, 1.5, -1.5, 1.5), nx=4, ny=4,
+                    params=Parameters(alpha, beta), seed=OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j))
+    grid = classification_grid(spec, _FAST, _FAST_ANALYSIS)
+    assert grid.cells == _per_cell(spec, _FAST, _FAST_ANALYSIS)
+    verdicts = {v for row in grid.cells for v in row}
+    assert {"unbounded", "converges", "periodic", "chaotic"} <= verdicts
+    # the single cell centre -1 seeds z[0] on the map pole
+    pole = GridSpec(vary="seed", region=ComplexRect(-1.5, -0.5, -0.5, 0.5), nx=1, ny=1,
+                    params=Parameters(alpha, beta))
+    assert classification_grid(pole, _FAST, _FAST_ANALYSIS).cells == (("singular",),)
+    assert _per_cell(pole, _FAST, _FAST_ANALYSIS) == (("singular",),)
+
+
+_PART = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+_POINT = st.builds(complex, _PART, _PART)
+_SPAN = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(vary=st.sampled_from(["seed", "alpha", "beta"]), alpha=_POINT, beta=_POINT,
+       z_minus1=_POINT, z_0=_POINT, corner=_POINT, width=_SPAN, height=_SPAN,
+       nx=st.integers(1, 4), ny=st.integers(1, 4), steps=st.integers(50, 600),
+       window=st.integers(1, 40), max_period=st.integers(1, 64),
+       transient=st.integers(0, 300), sample=st.integers(1, 300))
+@example(vary="beta", alpha=0.2278 + 0.321j, beta=0j, z_minus1=0.1 + 0.1j, z_0=0.2 - 0.1j,
+         corner=-1.5 - 1.5j, width=0.5, height=0.5, nx=4, ny=4, steps=100, window=32,
+         max_period=128, transient=500, sample=5000)  # cut 51 < transient, sample past steps
+def test_grid_equals_scalar_classification(vary, alpha, beta, z_minus1, z_0, corner, width,
+                                           height, nx, ny, steps, window, max_period,
+                                           transient, sample):
+    spec = GridSpec(vary=vary, nx=nx, ny=ny, params=Parameters(alpha, beta),
+                    region=ComplexRect(corner.real, corner.real + width,
+                                       corner.imag, corner.imag + height),
+                    seed=OrbitSeed(z_minus1, z_0))
+    iteration = IterationSettings(max_steps=steps)
+    analysis = AnalysisSettings(window=window, max_period=max_period,
+                                lyapunov_transient=transient, lyapunov_sample=sample)
+    grid = classification_grid(spec, iteration, analysis)
+    assert grid.cells == _per_cell(spec, iteration, analysis)
 
 
 def test_grid_alpha_mode():
