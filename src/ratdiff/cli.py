@@ -419,10 +419,13 @@ def _run_grid(spec: RunSpec) -> dict:
         if not spec.seeds:
             raise UsageError("grid: --seed is required when varying a parameter")
         seed = OrbitSeed(*spec.seeds[0])
-    grid_spec = GridSpec(
-        vary=spec.vary, region=spec.rect, nx=spec.nx, ny=spec.ny,
-        params=params, seed=seed,
-    )
+    try:
+        grid_spec = GridSpec(
+            vary=spec.vary, region=spec.rect, nx=spec.nx, ny=spec.ny,
+            params=params, seed=seed,
+        )
+    except ValueError as exc:
+        raise UsageError(f"grid: --rect/--resolution: {exc}") from None
     grid = classification_grid(grid_spec, IterationSettings(max_steps=spec.steps))
     counts: dict[str, int] = {}
     for row in grid.cells:

@@ -39,7 +39,8 @@ class GuardTripped(ArithmeticError):
 
     status is STATUS_SINGULAR (the denominator 1 + z[n] is within
     tolerance of zero, the map pole) or STATUS_ESCAPED (an iterate left
-    the escape radius or stopped being finite).
+    the escape radius or stopped being finite, or an equilibrium's
+    arithmetic overflowed a double).
     """
 
     def __init__(self, status: str, message: str):
@@ -142,6 +143,14 @@ def step(
     return (params.alpha + params.alpha * z_curr + params.beta * z_prev) / denom
 
 
+def _within(z: complex, radius: float) -> bool:
+    """abs(z) <= radius, False where the modulus overflows a double."""
+    try:
+        return abs(z) <= radius
+    except OverflowError:
+        return False
+
+
 def iterate(
     params: Parameters,
     seed: OrbitSeed,
@@ -151,27 +160,56 @@ def iterate(
 
     Stops after settings.max_steps computed iterates (status completed),
     when an iterate leaves the escape radius or is not finite (status
-    escaped), or when the next step would divide by ~0 (status singular).
+    escaped; a modulus above the largest double counts as outside), or
+    when the next step would divide by ~0 (status singular).
     """
     alpha, beta = params.alpha, params.beta
     esc, tol = settings.escape_radius, settings.singular_tol
     points = [seed.z_minus1, seed.z_0]
 
     for k in (0, 1):
-        if not abs(points[k]) <= esc:
+        if not _within(points[k], esc):
             return Orbit(seed, tuple(points), STATUS_ESCAPED, k)
 
-    for _ in range(settings.max_steps):
-        z_prev, z_curr = points[-2], points[-1]
-        denom = 1 + z_curr
-        if abs(denom) < tol:
-            return Orbit(seed, tuple(points), STATUS_SINGULAR, len(points) - 1)
-        z_next = (alpha + alpha * z_curr + beta * z_prev) / denom
-        points.append(z_next)
-        if not abs(z_next) <= esc:
-            return Orbit(seed, tuple(points), STATUS_ESCAPED, len(points) - 1)
+    # abs() raises OverflowError where the parts are finite but the modulus
+    # is above the largest double; only abs(z_next) can, because z_curr
+    # already passed the escape test.  The try wraps the whole loop, so it
+    # costs nothing per step.
+    try:
+        for _ in range(settings.max_steps):
+            z_prev, z_curr = points[-2], points[-1]
+            denom = 1 + z_curr
+            if abs(denom) < tol:
+                return Orbit(seed, tuple(points), STATUS_SINGULAR, len(points) - 1)
+            z_next = (alpha + alpha * z_curr + beta * z_prev) / denom
+            points.append(z_next)
+            if not abs(z_next) <= esc:
+                return Orbit(seed, tuple(points), STATUS_ESCAPED, len(points) - 1)
+    except OverflowError:
+        return Orbit(seed, tuple(points), STATUS_ESCAPED, len(points) - 1)
 
     return Orbit(seed, tuple(points), STATUS_COMPLETED)
+
+
+def _prod(a_re, a_im, b_re, b_im):
+    """CPython's _Py_c_prod on real and imaginary parts (floats or arrays)."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _quot(a_re, a_im, b_re, b_im):
+    """CPython's _Py_c_quot (Smith's method) on parts, the branch picked per lane.
+
+    A zero divisor gives nan or inf where CPython raises
+    ZeroDivisionError; callers mask those lanes.  Call under
+    np.errstate(all="ignore"): the branch not taken may divide by zero.
+    """
+    real_major = np.abs(b_re) >= np.abs(b_im)
+    major = np.where(real_major, b_re, b_im)
+    minor = np.where(real_major, b_im, b_re)
+    ratio = minor / major
+    denom = major + minor * ratio
+    return (np.where(real_major, a_re + a_im * ratio, a_re * ratio + a_im) / denom,
+            np.where(real_major, a_im - a_re * ratio, a_im * ratio - a_re) / denom)
 
 
 def _lane_step(alpha, beta, z_prev, z_curr, singular_tol, escape_radius):
@@ -185,27 +223,20 @@ def _lane_step(alpha, beta, z_prev, z_curr, singular_tol, escape_radius):
     left the escape radius or is not finite, exactly as iterate() decides.
 
     The real formulas repeat CPython's complex product and quotient
-    (_Py_c_prod, and Smith's method in _Py_c_quot) operation by
-    operation, so each lane gets the bits step() gives.  numpy's complex
-    multiply, divide and abs round differently in a large share of cases,
-    which chaotic orbits would amplify.  Call under np.errstate(all="ignore"):
-    the Smith branch not taken may divide by zero.
+    (_prod, _quot) operation by operation, so each lane gets the bits
+    step() gives.  numpy's complex multiply, divide and abs round
+    differently in a large share of cases, which chaotic orbits would
+    amplify.  Call under np.errstate(all="ignore").
     """
     a_re, a_im, b_re, b_im = alpha.real, alpha.imag, beta.real, beta.imag
     p_re, p_im, c_re, c_im = z_prev.real, z_prev.imag, z_curr.real, z_curr.imag
     # alpha + alpha*z_curr + beta*z_prev, summed left to right
-    n_re = (a_re + (a_re * c_re - a_im * c_im)) + (b_re * p_re - b_im * p_im)
-    n_im = (a_im + (a_re * c_im + a_im * c_re)) + (b_re * p_im + b_im * p_re)
+    ac_re, ac_im = _prod(a_re, a_im, c_re, c_im)
+    bp_re, bp_im = _prod(b_re, b_im, p_re, p_im)
     # 1 + z_curr promotes 1 to 1+0j, so -0.0 imaginary parts become +0.0
     d_re = 1.0 + c_re
     d_im = 0.0 + c_im
-    real_major = np.abs(d_re) >= np.abs(d_im)
-    major = np.where(real_major, d_re, d_im)
-    minor = np.where(real_major, d_im, d_re)
-    ratio = minor / major
-    denom = major + minor * ratio
-    x_re = np.where(real_major, n_re + n_im * ratio, n_re * ratio + n_im) / denom
-    x_im = np.where(real_major, n_im - n_re * ratio, n_im * ratio - n_re) / denom
+    x_re, x_im = _quot((a_re + ac_re) + bp_re, (a_im + ac_im) + bp_im, d_re, d_im)
     singular = np.hypot(d_re, d_im) < singular_tol
     escaped = ~(np.hypot(x_re, x_im) <= escape_radius) & ~singular
     z_next = np.empty(x_re.shape, dtype=complex)

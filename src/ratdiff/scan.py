@@ -11,13 +11,14 @@ any larger budget; running extrema are therefore monotone in budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import AnalysisSettings, classify_lanes
 from .core import STATUS_SINGULAR, GuardTripped, IterationSettings, OrbitSeed, Parameters
-from .stability import BRANCH_MINUS, BRANCH_PLUS, clark_margin_at
+from .stability import BRANCH_MINUS, BRANCH_PLUS, _clark_margin_lanes, clark_margin_at
 
 __all__ = [
     "ComplexRect",
@@ -30,6 +31,9 @@ __all__ = [
 
 _SHRINK_LEVELS = 10
 _REFINE_EVERY = 4  # every 4th draw is a local proposal
+# draws per lane pass: fewer rows pay numpy's per-call cost more often,
+# more rows hold larger temporaries and were no faster
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,6 @@ class ComplexRect:
     @property
     def im_span(self) -> float:
         return self.im_max - self.im_min
-
-    def point(self, u_re: float, u_im: float) -> complex:
-        return complex(
-            self.re_min + u_re * self.re_span,
-            self.im_min + u_im * self.im_span,
-        )
 
     def clip(self, z: complex) -> complex:
         return complex(
@@ -95,9 +93,16 @@ def scan_margin(
     """Randomized extrema search of the Clark margin over two rectangles.
 
     budget counts total functional evaluations (global draws plus local
-    refinements).  Samples whose equilibrium sits at the map pole are
+    refinements).  Samples whose margin clark_margin_at cannot give (an
+    equilibrium at the map pole, an overflow, a non-finite value) are
     skipped.  Deterministic for a fixed rng_seed, and the running
     max/min are nondecreasing/nonincreasing in budget.
+
+    The draws come in blocks of rows, one row of four uniforms per
+    evaluation.  Every row's global point is evaluated up front by the
+    lane kernel, which has the bits of clark_margin_at; the block is
+    then walked in order, and a local proposal, which depends on the
+    best point so far, is evaluated when its row comes.
     """
     if branch not in (BRANCH_MINUS, BRANCH_PLUS):
         raise ValueError(f"branch must be {BRANCH_MINUS!r} or {BRANCH_PLUS!r}")
@@ -112,7 +117,8 @@ def scan_margin(
     evaluated = 0
 
     def propose_local(center: tuple[complex, complex], level: int,
-                      u: np.ndarray) -> tuple[complex, complex]:
+                      u: list[float]) -> tuple[complex, complex]:
+        # Python floats round like numpy's float64 scalars and cost less
         shrink = 0.5**level
         da = complex(
             (2 * u[0] - 1) * shrink * region_alpha.re_span,
@@ -127,38 +133,56 @@ def scan_margin(
             region_beta.clip(center[1] + db),
         )
 
-    for i in range(budget):
-        u = rng.random(4)  # constant draw count keeps the stream aligned
-        refine_max = i % _REFINE_EVERY == _REFINE_EVERY - 1 and (i // _REFINE_EVERY) % 2 == 0
-        refine_min = i % _REFINE_EVERY == _REFINE_EVERY - 1 and (i // _REFINE_EVERY) % 2 == 1
-        if refine_max and arg_max is not None:
-            alpha, beta = propose_local(arg_max, level_max, u)
-        elif refine_min and arg_min is not None:
-            alpha, beta = propose_local(arg_min, level_min, u)
-        else:
-            refine_max = refine_min = False
-            alpha = region_alpha.point(u[0], u[1])
-            beta = region_beta.point(u[2], u[3])
-        try:
-            value = clark_margin_at(Parameters(alpha, beta), branch)
-        except GuardTripped:
-            continue
-        if not np.isfinite(value):
-            continue
-        evaluated += 1
-        improved_max = value > best_max
-        improved_min = value < best_min
-        if improved_max:
-            best_max, arg_max = value, (alpha, beta)
-        if improved_min:
-            best_min, arg_min = value, (alpha, beta)
-        if refine_max and not improved_max:
-            level_max = min(level_max + 1, _SHRINK_LEVELS - 1)
-        if refine_min and not improved_min:
-            level_min = min(level_min + 1, _SHRINK_LEVELS - 1)
+    for start in range(0, budget, _BLOCK_ROWS):
+        # one (rows, 4) draw continues the stream as rows calls of random(4) would
+        u = rng.random((min(_BLOCK_ROWS, budget - start), 4))
+        # the global point of each row: min + u * span in both rectangles
+        a_re = region_alpha.re_min + u[:, 0] * region_alpha.re_span
+        a_im = region_alpha.im_min + u[:, 1] * region_alpha.im_span
+        b_re = region_beta.re_min + u[:, 2] * region_beta.re_span
+        b_im = region_beta.im_min + u[:, 3] * region_beta.im_span
+        margins, ok = _clark_margin_lanes(a_re, a_im, b_re, b_im, branch)
+        margins, ok = margins.tolist(), ok.tolist()
+        for j in range(len(ok)):
+            # local proposals alternate: the max's target, then the min's
+            phase = (start + j) % (2 * _REFINE_EVERY)
+            refine_max = phase == _REFINE_EVERY - 1
+            refine_min = phase == 2 * _REFINE_EVERY - 1
+            if refine_max and arg_max is not None:
+                point = propose_local(arg_max, level_max, u[j].tolist())
+            elif refine_min and arg_min is not None:
+                point = propose_local(arg_min, level_min, u[j].tolist())
+            else:
+                refine_max = refine_min = False
+                point = None
+            if point is not None:
+                try:
+                    value = clark_margin_at(Parameters(*point), branch)
+                except GuardTripped:
+                    continue
+                if not math.isfinite(value):
+                    continue
+            elif ok[j]:
+                value = margins[j]
+            else:
+                continue
+            evaluated += 1
+            improved_max = value > best_max
+            improved_min = value < best_min
+            if (improved_max or improved_min) and point is None:
+                point = (complex(a_re[j], a_im[j]), complex(b_re[j], b_im[j]))
+            if improved_max:
+                best_max, arg_max = value, point
+            if improved_min:
+                best_min, arg_min = value, point
+            if refine_max and not improved_max:
+                level_max = min(level_max + 1, _SHRINK_LEVELS - 1)
+            if refine_min and not improved_min:
+                level_min = min(level_min + 1, _SHRINK_LEVELS - 1)
 
     if arg_max is None:
-        raise GuardTripped(STATUS_SINGULAR, "every sample in the scan hit the map pole")
+        raise GuardTripped(STATUS_SINGULAR, "no sample in the scan has a finite margin: "
+                                            "each hit the map pole or overflowed")
     return ExtremaReport(
         max_value=best_max,
         argmax=arg_max,
@@ -196,6 +220,11 @@ class GridSpec:
             raise ValueError("resolution must be at least 1x1")
         if self.vary != VARY_SEED and self.seed is None:
             raise ValueError("parameter grids need a fixed seed")
+        # (ix + 0.5) * span grows with ix, so the last centre overflows first
+        last = self.region.center(self.nx - 1, self.ny - 1, self.nx, self.ny)
+        if not (math.isfinite(last.real) and math.isfinite(last.imag)):
+            raise ValueError("the rectangle is too large for the resolution: "
+                             "cell centres overflow a double")
 
     def cell_case(self, ix: int, iy: int) -> tuple[Parameters, OrbitSeed]:
         c = self.region.center(ix, iy, self.nx, self.ny)

@@ -298,6 +298,9 @@ def test_exit_two_on_usage():
     ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-inf,1,0,1"],
     ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-1e308,1e308,-1,1"],
     ["scan", "--branch", "plus", "--alpha-rect=-1e308,1e308,-1,1", "--beta-rect=0,1,0,1"],
+    # finite span, but the last cell centre overflows
+    ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-0.5e308,1.2e308,-1,1",
+     "--resolution", "2x1"],
 ])
 def test_exit_two_on_out_of_range_value(argv):
     result = run_cli(*argv)
@@ -338,6 +341,20 @@ def test_exit_three_on_numeric_failure():
     assert result.returncode == 3
     envelope = json.loads(result.stdout)
     assert envelope["error"]["type"] == "GuardTripped"
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibria", "--alpha", "1e200", "--beta", "1"],
+    ["stability", "--alpha", "1e200", "--beta", "1"],
+    ["scan", "--branch", "plus", "--alpha-rect=1e200,1e200,0,0",
+     "--beta-rect=0.5,0.5,0,0", "--budget", "5", "--rng-seed", "1"],
+])
+def test_exit_three_on_overflow(argv):
+    # (1 + alpha)**2 overflows a double: a numeric failure, not a crash
+    result = run_cli(*argv)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stdout)["error"]["type"] == "GuardTripped"
 
 
 def test_lyapunov_zero_beta_writes_minus_inf():

@@ -98,6 +98,18 @@ def test_iterate_nonfinite_iterate_escapes():
     assert classify_orbit(p, seed).verdict == "unbounded"
 
 
+def test_iterate_modulus_overflow_escapes():
+    # finite parts whose modulus is above the largest double: abs() raises
+    # OverflowError there, and the guard must call the iterate escaped
+    p = Parameters(1.5e308 + 1.5e308j, 0)
+    orbit = iterate(p, OrbitSeed(0, 0), IterationSettings(max_steps=3))
+    assert orbit.status == "escaped" and orbit.stop_step == 2
+    assert orbit.points[2] == 1.5e308 + 1.5e308j
+    assert classify_orbit(p, OrbitSeed(0, 0)).verdict == "unbounded"
+    orbit = iterate(Parameters(1, 1), OrbitSeed(1.5e308 + 1.5e308j, 0))
+    assert orbit.status == "escaped" and orbit.stop_step == 0
+
+
 def test_iterate_zero_map_reaches_zero():
     orbit = iterate(Parameters(0, 0), OrbitSeed(2 + 3j, -0.7j),
                     IterationSettings(max_steps=10))

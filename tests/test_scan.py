@@ -15,10 +15,14 @@ from ratdiff import (
     classify_orbit,
     scan_margin,
 )
+from ratdiff.scan import _BLOCK_ROWS
 
 import cases
 
 UNIT = ComplexRect(-1, 1, -1, 1)
+_PART = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+_POINT = st.builds(complex, _PART, _PART)
+_SPAN = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
 
 
 def _point_rect(z: complex) -> ComplexRect:
@@ -86,6 +90,64 @@ def test_scan_monotone_in_budget():
     for small, large in zip(reports, reports[1:]):
         assert large.max_value >= small.max_value
         assert large.min_value <= small.min_value
+
+
+def _report_bits(report):
+    points = report.argmax + report.argmin
+    return ([report.max_value.hex(), report.min_value.hex()]
+            + [part.hex() for z in points for part in (z.real, z.imag)] + [report.samples])
+
+
+# recorded from the scan that evaluated one draw at a time with the scalar
+# margin; 2500 draws cross two block boundaries
+_PINNED = {
+    ("plus", 5): [
+        "0x1.bff434c615e8cp+2", "0x1.b64ccb974784ap-12",
+        "-0x1.6e927a480588ep-1", "0x1.fe6c925e31393p-1",
+        "0x1.156012c3842d6p-4", "0x1.b7cbe7d958e79p-3",
+        "0x1.7c3fb1c728c04p-1", "0x1.8d528a7f4b31ep-3",
+        "-0x1.6d66f25920710p-12", "-0x1.861b00111cf50p-12", 2500],
+    ("minus", 6): [
+        "0x1.2066c18b23028p+13", "0x1.03dc4f17e642fp-6",
+        "0x1.24e47fd1b2372p-1", "0x1.5684c8b51940bp-4",
+        "-0x1.e258e90cca940p-14", "0x1.fd09162321c60p-13",
+        "-0x1.f98736c5a8568p-1", "0x1.a51c4caf5a8ffp-1",
+        "-0x1.a445b314b759cp-9", "0x1.01ebae20a4827p-8", 2500],
+}
+
+
+@pytest.mark.parametrize("branch,rng_seed", sorted(_PINNED))
+def test_scan_report_is_pinned(branch, rng_seed):
+    assert 2500 > 2 * _BLOCK_ROWS
+    report = scan_margin(branch, UNIT, UNIT, budget=2500, rng_seed=rng_seed)
+    assert _report_bits(report) == _PINNED[branch, rng_seed]
+
+
+@settings(max_examples=15, deadline=None)
+@given(branch=st.sampled_from(["plus", "minus"]), rng_seed=st.integers(0, 2**32 - 1),
+       corner=_POINT, width=_SPAN, height=_SPAN, blocks=st.integers(0, 2),
+       offset=st.integers(-3, 3), extra=st.integers(1, _BLOCK_ROWS + 4))
+def test_scan_extrema_monotone_across_block_boundaries(branch, rng_seed, corner, width,
+                                                       height, blocks, offset, extra):
+    # a larger budget extends the same draw sequence, so its running extrema
+    # can only improve, wherever the two budgets fall against the blocks
+    region = ComplexRect(corner.real, corner.real + width, corner.imag, corner.imag + height)
+    small = max(1, blocks * _BLOCK_ROWS + offset)
+    a = scan_margin(branch, region, UNIT, budget=small, rng_seed=rng_seed)
+    b = scan_margin(branch, region, UNIT, budget=small + extra, rng_seed=rng_seed)
+    assert b.max_value >= a.max_value
+    assert b.min_value <= a.min_value
+    assert a.samples <= b.samples <= small + extra
+
+
+def test_scan_skips_overflowing_draws():
+    # |alpha| above about 1.3e154 overflows (1 + alpha)**2: such draws are
+    # skipped like pole draws, and the rest of the scan goes on
+    region = ComplexRect(0.0, 3e154, -1.0, 1.0)
+    report = scan_margin("plus", region, UNIT, budget=2000, rng_seed=4)
+    assert 0 < report.samples < 2000
+    for value, point in ((report.max_value, report.argmax), (report.min_value, report.argmin)):
+        assert clark_margin_at(Parameters(*point), "plus") == value
 
 
 def test_scan_report_self_consistent():
@@ -168,11 +230,6 @@ def test_grid_mixed_verdicts_match_per_cell_classification():
     assert _per_cell(pole, _FAST, _FAST_ANALYSIS) == (("singular",),)
 
 
-_PART = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
-_POINT = st.builds(complex, _PART, _PART)
-_SPAN = st.floats(0, 0.5, allow_nan=False, allow_infinity=False)
-
-
 @settings(max_examples=25, deadline=None)
 @given(vary=st.sampled_from(["seed", "alpha", "beta"]), alpha=_POINT, beta=_POINT,
        z_minus1=_POINT, z_0=_POINT, corner=_POINT, width=_SPAN, height=_SPAN,
@@ -209,6 +266,22 @@ def test_grid_alpha_mode():
     grid = classification_grid(spec, _FAST, _FAST_ANALYSIS)
     assert len(grid.cells) == 1 and len(grid.cells[0]) == 3
     assert grid.cells[0][2] == "converges"
+
+
+def test_grid_modulus_overflow_matches_classify_orbit():
+    # the first iterate has finite parts but a modulus above the largest double
+    spec = GridSpec(vary="seed", region=ComplexRect(0.0, 0.0, 0.0, 0.0), nx=1, ny=1,
+                    params=Parameters(1.5e308 + 1.5e308j, 0))
+    assert classification_grid(spec, _FAST, _FAST_ANALYSIS).cells == (("unbounded",),)
+    assert _per_cell(spec, _FAST, _FAST_ANALYSIS) == (("unbounded",),)
+
+
+def test_grid_rejects_overflowing_cell_centres():
+    # the span is finite, but (nx - 0.5) * span is not
+    region = ComplexRect(-0.5e308, 1.2e308, -1, 1)
+    with pytest.raises(ValueError, match="centres"):
+        GridSpec(vary="seed", region=region, nx=2, ny=1, params=Parameters(1, 1))
+    GridSpec(vary="seed", region=region, nx=1, ny=1, params=Parameters(1, 1))
 
 
 def test_grid_requires_seed_for_parameter_mode():

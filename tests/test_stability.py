@@ -1,10 +1,12 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from ratdiff import (
     CharCoeffs,
+    GuardTripped,
     Parameters,
     characteristic_roots,
     clark_margin_at,
@@ -13,7 +15,7 @@ from ratdiff import (
     equilibrium_residual,
     linearization,
 )
-from ratdiff.stability import BRANCH_MINUS, BRANCH_PLUS
+from ratdiff.stability import BRANCH_MINUS, BRANCH_PLUS, _clark_margin_lanes, _sqrt
 
 import cases
 
@@ -223,6 +225,82 @@ def test_margin_alpha_zero_branches():
 def test_margin_rejects_unknown_branch():
     with pytest.raises(ValueError):
         clark_margin_at(Parameters(1, 1), "middle")
+
+
+def test_margin_overflow_raises_guard_tripped():
+    # (1 + alpha)**2 and abs() raise OverflowError for large finite inputs
+    huge = Parameters(1e200, 1)
+    with pytest.raises(GuardTripped) as info:
+        equilibria(huge)
+    assert info.value.status == "escaped"
+    for branch in (BRANCH_MINUS, BRANCH_PLUS):
+        with pytest.raises(GuardTripped):
+            clark_margin_at(huge, branch)
+    # alpha = 0 skips the squares; |1 + zbar| itself overflows
+    wide = Parameters(0, 1.5e308 + 1.5e308j)
+    eq = equilibria(wide)[1]
+    with pytest.raises(GuardTripped) as info:
+        linearization(wide, eq)
+    assert info.value.status == "escaped"
+    with pytest.raises(GuardTripped):
+        equilibrium_residual(wide, eq.z_bar)
+
+
+def _scalar_margin(alpha, beta, branch):
+    """clark_margin_at's value, or None where scan_margin skips the draw."""
+    try:
+        value = clark_margin_at(Parameters(alpha, beta), branch)
+    except GuardTripped as exc:
+        return exc.status
+    return value if math.isfinite(value) else None
+
+
+def test_margin_lanes_match_clark_margin_bit_for_bit():
+    # the scan evaluates its global draws with the lane kernel; it must give
+    # clark_margin_at's bits and skip exactly the draws the scalar call skips
+    rng = np.random.default_rng(29)
+    n = 2500
+    parts = rng.choice((-1.0, 1.0), (n, 4)) * 10.0 ** rng.uniform(-160, 200, (n, 4))
+    parts[:n // 3] = rng.uniform(-3, 3, (n // 3, 4))
+    for col in range(4):
+        parts[rng.random(n) < 0.05, col] = 0.0
+        parts[rng.random(n) < 0.05, col] = -0.0
+    parts[rng.random(n) < 0.05, 0:2] = 0.0  # alpha = 0
+    parts[rng.random(n) < 0.05, 2:4] = 0.0  # beta = 0
+    parts[:8] = [(0.5, 0.1, 1e-14, 0.0), (0.5, 0.1, 0.0, 1e-300),  # pole on the minus branch
+                 (1e200, 0.0, 1.0, 0.0), (0.0, 0.0, 1.5e308, 1.5e308),  # overflow
+                 (1e-200, 0.0, 1e200, 1e200), (-1.0, 0.0, 4.0, 0.0),  # nan margin, D = 0
+                 (1e-170, 1e-170, 0.0, 1e-170), (3.0, 0.0, -0.0, 0.0)]  # D below DBL_MIN, beta = -0
+    outcomes = set()
+    for branch in (BRANCH_MINUS, BRANCH_PLUS):
+        margin, ok = _clark_margin_lanes(*parts.T, branch)
+        for i in range(n):
+            expected = _scalar_margin(complex(*parts[i, :2]), complex(*parts[i, 2:]), branch)
+            if isinstance(expected, float):
+                assert ok[i]
+                assert float(margin[i]).hex() == expected.hex()
+                outcomes.add("finite")
+            else:
+                assert not ok[i]
+                outcomes.add(expected)
+    assert outcomes == {"finite", None, "singular", "escaped"}
+
+
+def test_lane_sqrt_matches_cmath_bit_for_bit():
+    # a discriminant below DBL_MIN only arises next to the pole, so the
+    # margin test cannot see the scaled path; check the root itself
+    rng = np.random.default_rng(31)
+    n = 3000
+    re, im = (rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-300, 300, n) for _ in range(2))
+    re[:500], im[:500] = (rng.choice((-1.0, 1.0), 500) * 10.0 ** rng.uniform(-323, -308, 500)
+                          for _ in range(2))
+    re[500:520], im[510:530] = 0.0, -0.0
+    with np.errstate(all="ignore"):
+        root_re, root_im = _sqrt(re, im)
+    for i in range(n):
+        expected = cmath.sqrt(complex(re[i], im[i]))
+        assert (float(root_re[i]).hex(), float(root_im[i]).hex()) \
+            == (expected.real.hex(), expected.imag.hex())
 
 
 # --- characteristic roots ---------------------------------------------------
