@@ -50,10 +50,10 @@ orbit = iterate(Parameters(alpha, beta), seed, IterationSettings(max_steps=2000)
 payload = {
     "kind": "orbit",
     "orbits": [{
-        "seed": [format_complex(seed.z_minus1), format_complex(seed.z_0)],
+        "seed": (seed.z_minus1, seed.z_0),
         "status": orbit.status,
         "stop_step": orbit.stop_step,
-        "points": [format_complex(z) for z in orbit.points],
+        "points": orbit.points,
     }],
 }
 envelope = ResultEnvelope(

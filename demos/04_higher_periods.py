@@ -48,10 +48,10 @@ tail = orbit.points[-400:]
 payload = {
     "kind": "orbit",
     "orbits": [{
-        "seed": [format_complex(seed[0]), format_complex(seed[1])],
+        "seed": seed,
         "status": orbit.status,
         "stop_step": None,
-        "points": [format_complex(z) for z in tail],
+        "points": tail,
     }],
 }
 envelope = ResultEnvelope(

@@ -44,9 +44,9 @@ report = scan_margin("plus", UNIT, UNIT, budget=50_000, rng_seed=2024)
 payload = {
     "kind": "scan", "branch": "plus",
     "max_value": report.max_value,
-    "argmax": [format_complex(z) for z in report.argmax],
+    "argmax": report.argmax,
     "min_value": report.min_value,
-    "argmin": [format_complex(z) for z in report.argmin],
+    "argmin": report.argmin,
     "samples": report.samples,
 }
 envelope = ResultEnvelope(

@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -26,14 +27,7 @@ from .core import (STATUS_COMPLETED, STATUS_SINGULAR, GuardTripped, IterationSet
                    Orbit, OrbitSeed, Parameters, iterate)
 from .invariants import HypothesisError, check_identities, trichotomy
 from .scan import ComplexRect, GridSpec, classification_grid, scan_margin
-from .serialize import (
-    FormatError,
-    ResultEnvelope,
-    RunSpec,
-    emit,
-    format_complex,
-    parse_complex,
-)
+from .serialize import FORMATS, FormatError, ResultEnvelope, RunSpec, emit, parse_complex
 from .stability import classify, equilibria, equilibrium_residual, linearization
 
 __all__ = ["UsageError", "parse_args", "execute", "main"]
@@ -111,23 +105,40 @@ def _resolution_flag(text: str) -> tuple[int, int]:
     return nx, ny
 
 
-_CONVERTERS = {
-    "alpha": _complex_flag,
-    "beta": _complex_flag,
-    "seed": _seed_flag,
-    "steps": _positive_int,
-    "branch": str,
-    "alpha-rect": _rect_flag,
-    "beta-rect": _rect_flag,
-    "rect": _rect_flag,
-    "vary": str,
-    "resolution": _resolution_flag,
-    "budget": _positive_int,
-    "rng-seed": _nonnegative_int,
-    "transient": _nonnegative_int,
-    "sample": _positive_int,
-    "out": str,
-    "format": str,
+# every flag a command line or a config file can set: its converter and,
+# for a closed set of values, the choices
+_FLAGS = {
+    "alpha": (_complex_flag, None),
+    "beta": (_complex_flag, None),
+    "seed": (_seed_flag, None),
+    "steps": (_positive_int, None),
+    "transient": (_nonnegative_int, None),
+    "sample": (_positive_int, None),
+    "branch": (str, ("minus", "plus")),
+    "alpha-rect": (_rect_flag, None),
+    "beta-rect": (_rect_flag, None),
+    "budget": (_positive_int, None),
+    "vary": (str, ("seed", "alpha", "beta")),
+    "rect": (_rect_flag, None),
+    "resolution": (_resolution_flag, None),
+    "out": (str, None),
+    "format": (str, FORMATS),
+    "rng-seed": (_nonnegative_int, None),
+}
+_SHARED_FLAGS = ("alpha", "beta", "out", "format", "rng-seed")
+_COMMANDS = {
+    "orbit": ("iterate the map and record the trajectory", ("seed", "steps")),
+    "equilibria": ("fixed points of the map", ()),
+    "stability": ("linearization, Clark margins, and root verdicts", ()),
+    "trichotomy": ("|beta| vs |alpha+1| outcome prediction", ()),
+    "period": ("detect the minimal locked cycle", ("seed", "steps")),
+    "lyapunov": ("largest Lyapunov exponent (tangent method)",
+                 ("seed", "transient", "sample")),
+    "scan": ("margin extrema over parameter rectangles",
+             ("branch", "alpha-rect", "beta-rect", "budget")),
+    "grid": ("classification grid over seeds or a parameter",
+             ("seed", "vary", "rect", "resolution", "steps")),
+    "identities": ("orbit identity residuals for beta = alpha+1", ("seed", "steps")),
 }
 
 
@@ -139,58 +150,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    format_choices = ("csv", "json", "svg")
-
-    def common(p, *, seed_append=False):
-        p.add_argument("--alpha", type=_complex_flag, default=None)
-        p.add_argument("--beta", type=_complex_flag, default=None)
-        if seed_append:
-            p.add_argument("--seed", type=_seed_flag, action="append", default=None,
-                           help="z[-1],z[0] pair; repeatable")
+    for command, (desc, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=desc)
         p.add_argument("--config", default=None, help="flat key=value file")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=format_choices, default=None)
-        p.add_argument("--rng-seed", dest="rng_seed", type=_nonnegative_int, default=None)
-
-    p = sub.add_parser("orbit", help="iterate the map and record the trajectory")
-    common(p, seed_append=True)
-    p.add_argument("--steps", type=_positive_int, default=None)
-
-    for name, desc in (
-        ("equilibria", "fixed points of the map"),
-        ("stability", "linearization, Clark margins, and root verdicts"),
-        ("trichotomy", "|beta| vs |alpha+1| outcome prediction"),
-    ):
-        p = sub.add_parser(name, help=desc)
-        common(p)
-
-    p = sub.add_parser("period", help="detect the minimal locked cycle")
-    common(p, seed_append=True)
-    p.add_argument("--steps", type=_positive_int, default=None)
-
-    p = sub.add_parser("lyapunov", help="largest Lyapunov exponent (tangent method)")
-    common(p, seed_append=True)
-    p.add_argument("--transient", type=_nonnegative_int, default=None)
-    p.add_argument("--sample", type=_positive_int, default=None)
-
-    p = sub.add_parser("scan", help="margin extrema over parameter rectangles")
-    common(p)
-    p.add_argument("--branch", choices=("minus", "plus"), default=None)
-    p.add_argument("--alpha-rect", dest="alpha_rect", type=_rect_flag, default=None)
-    p.add_argument("--beta-rect", dest="beta_rect", type=_rect_flag, default=None)
-    p.add_argument("--budget", type=_positive_int, default=None)
-
-    p = sub.add_parser("grid", help="classification grid over seeds or a parameter")
-    common(p, seed_append=True)
-    p.add_argument("--vary", choices=("seed", "alpha", "beta"), default=None)
-    p.add_argument("--rect", type=_rect_flag, default=None)
-    p.add_argument("--resolution", type=_resolution_flag, default=None)
-    p.add_argument("--steps", type=_positive_int, default=None)
-
-    p = sub.add_parser("identities", help="orbit identity residuals for beta = alpha+1")
-    common(p, seed_append=True)
-    p.add_argument("--steps", type=_positive_int, default=None)
-
+        for name in (*_SHARED_FLAGS, *own):
+            convert, choices = _FLAGS[name]
+            if name == "seed":
+                p.add_argument("--seed", type=convert, action="append", default=None,
+                               help="z[-1],z[0] pair; repeatable")
+            else:
+                p.add_argument(f"--{name}", type=convert, choices=choices, default=None)
     return parser
 
 
@@ -210,16 +179,18 @@ def _read_config(path: str) -> dict[str, str]:
 
 def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
     for key, raw in config.items():
-        if key not in _CONVERTERS:
+        if key not in _FLAGS:
             raise UsageError(f"config key {key!r} is not a known flag")
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or getattr(args, dest) is not None:
             continue  # flag not applicable to this command, or explicitly set
-        convert = _CONVERTERS[key]
+        convert, choices = _FLAGS[key]
         try:
             value = convert(raw)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from None
+        if choices is not None and value not in choices:
+            raise UsageError(f"config key {key!r}: {value!r} is not one of {choices}")
         if key == "seed":
             value = [value]
         setattr(args, dest, value)
@@ -293,10 +264,10 @@ def _seed_list(spec: RunSpec) -> list[OrbitSeed]:
 
 def _orbit_dict(orbit: Orbit) -> dict:
     return {
-        "seed": [format_complex(orbit.seed.z_minus1), format_complex(orbit.seed.z_0)],
+        "seed": (orbit.seed.z_minus1, orbit.seed.z_0),
         "status": orbit.status,
         "stop_step": orbit.stop_step,
-        "points": [format_complex(z) for z in orbit.points],
+        "points": orbit.points,
     }
 
 
@@ -316,7 +287,7 @@ def _run_equilibria(spec: RunSpec) -> dict:
         except GuardTripped:
             residual = None
         entries.append({
-            "z": format_complex(eq.z_bar),
+            "z": eq.z_bar,
             "branch": eq.branch,
             "coincident": eq.coincident,
             "residual": residual,
@@ -332,13 +303,13 @@ def _run_stability(spec: RunSpec) -> dict:
         verdict = classify(params, eq)
         reports.append({
             "branch": eq.branch,
-            "z": format_complex(eq.z_bar),
-            "A": format_complex(coeffs.A),
-            "C": format_complex(coeffs.C),
+            "z": eq.z_bar,
+            "A": coeffs.A,
+            "C": coeffs.C,
             "clark_margin": coeffs.clark_margin,
             "clark_holds": verdict.clark_holds,
             "spectral": verdict.spectral,
-            "roots": [format_complex(r) for r in verdict.roots],
+            "roots": verdict.roots,
         })
     return {"kind": "stability", "reports": reports}
 
@@ -365,7 +336,7 @@ def _run_period(spec: RunSpec) -> dict:
     if report is not None:
         payload.update({
             "period": report.period,
-            "cycle": [format_complex(z) for z in report.cycle_points],
+            "cycle": report.cycle_points,
             "onset": report.onset,
             "residual": report.residual,
         })
@@ -383,7 +354,7 @@ def _run_lyapunov(spec: RunSpec) -> dict:
     )
     return {
         "kind": "lyapunov",
-        "seed": [format_complex(seed.z_minus1), format_complex(seed.z_0)],
+        "seed": (seed.z_minus1, seed.z_0),
         # JSON has no infinities: -inf (a collapsed tangent vector) goes as a string
         "lambda_max": (estimate.lambda_max if math.isfinite(estimate.lambda_max)
                        else repr(estimate.lambda_max)),
@@ -404,9 +375,9 @@ def _run_scan(spec: RunSpec) -> dict:
         "kind": "scan",
         "branch": spec.branch,
         "max_value": report.max_value,
-        "argmax": [format_complex(z) for z in report.argmax],
+        "argmax": report.argmax,
         "min_value": report.min_value,
-        "argmin": [format_complex(z) for z in report.argmin],
+        "argmin": report.argmin,
         "samples": report.samples,
     }
 
@@ -427,10 +398,7 @@ def _run_grid(spec: RunSpec) -> dict:
     except ValueError as exc:
         raise UsageError(f"grid: --rect/--resolution: {exc}") from None
     grid = classification_grid(grid_spec, IterationSettings(max_steps=spec.steps))
-    counts: dict[str, int] = {}
-    for row in grid.cells:
-        for verdict in row:
-            counts[verdict] = counts.get(verdict, 0) + 1
+    counts = dict(Counter(verdict for row in grid.cells for verdict in row))
     return {
         "kind": "grid",
         "vary": spec.vary,

@@ -1,20 +1,23 @@
 """Run specifications, result envelopes, and artifact emission.
 
-Complex numbers cross the wire as "a+bi" literals printed with Python's
-shortest round-trip float repr, so parse(print(z)) is the identity on
-doubles (signed zeros included).  JSON is the canonical interchange
-format; CSV covers orbit and grid tables (RFC 4180 line endings); SVG
-1.1 is written by hand so plots stay dependency-free and diffable.
+Payloads are typed: a complex value stays a Python complex (a sequence
+of them is a tuple) until JSON is written.  JSON is the canonical
+interchange format and the one place where complex numbers become "a+bi"
+literals, printed with Python's shortest round-trip float repr, so
+parse(print(z)) is the identity on finite doubles (signed zeros
+included).  CSV covers orbit and grid tables (RFC 4180 line endings);
+SVG 1.1 is written by hand so plots stay dependency-free and diffable.
+Both are rendered straight from the numbers.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import re
 from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .scan import ComplexRect
 
@@ -61,12 +64,45 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _rect_to_list(r: ComplexRect) -> list[float]:
-    return [r.re_min, r.re_max, r.im_min, r.im_max]
+def _from_literals(value):
+    """Inverse of _plain over a decoded payload.
+
+    format_complex always writes the full "a+bi" form, which no other
+    payload string takes; a list of complex values becomes a tuple.
+    """
+    if isinstance(value, dict):
+        return {key: _from_literals(v) for key, v in value.items()}
+    if isinstance(value, list):
+        items = [_from_literals(v) for v in value]
+        if items and all(isinstance(v, complex) for v in items):
+            return tuple(items)
+        return items
+    if isinstance(value, str) and _RE_FULL.match(value):
+        return parse_complex(value)
+    return value
 
 
-def _rect_from_list(vals) -> ComplexRect:
-    return ComplexRect(*(float(v) for v in vals))
+def _plain(value):
+    """value in JSON types: complex values become their literals (here and
+    nowhere else), rectangles their bound lists, tuples lists."""
+    if isinstance(value, complex):
+        return format_complex(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, ComplexRect):
+        return [value.re_min, value.re_max, value.im_min, value.im_max]
+    return value
+
+
+# run-spec fields whose JSON form is not the value itself, by annotation
+_FROM_PLAIN = {
+    "complex | None": parse_complex,
+    "tuple[tuple[complex, complex], ...] | None":
+        lambda pairs: tuple((parse_complex(a), parse_complex(b)) for a, b in pairs),
+    "ComplexRect | None": lambda bounds: ComplexRect(*(float(v) for v in bounds)),
+}
 
 
 @dataclass(frozen=True)
@@ -97,42 +133,18 @@ class RunSpec:
     format: str = "json"
 
     def to_dict(self) -> dict:
-        out: dict = {"command": self.command, "format": self.format}
-        if self.alpha is not None:
-            out["alpha"] = format_complex(self.alpha)
-        if self.beta is not None:
-            out["beta"] = format_complex(self.beta)
-        if self.seeds is not None:
-            out["seeds"] = [
-                [format_complex(a), format_complex(b)] for a, b in self.seeds
-            ]
-        for name in ("steps", "branch", "vary", "nx", "ny", "budget",
-                     "rng_seed", "n_transient", "n_sample", "out"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        for name in ("alpha_rect", "beta_rect", "rect"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = _rect_to_list(value)
-        return out
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: _plain(v) for name, v in values.items() if v is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
+        types = {f.name: f.type for f in fields(cls)}
         kwargs: dict = {}
-        known = {f.name for f in fields(cls)}
         for key, value in data.items():
-            if key not in known:
+            if key not in types:
                 raise ValueError(f"unknown run-spec field {key!r}")
-            if key in ("alpha", "beta"):
-                value = parse_complex(value)
-            elif key == "seeds":
-                value = tuple(
-                    (parse_complex(a), parse_complex(b)) for a, b in value
-                )
-            elif key in ("alpha_rect", "beta_rect", "rect"):
-                value = _rect_from_list(value)
-            kwargs[key] = value
+            convert = _FROM_PLAIN.get(types[key])
+            kwargs[key] = value if convert is None else convert(value)
         return cls(**kwargs)
 
 
@@ -144,33 +156,19 @@ class ResultEnvelope:
     payload: dict = field(default_factory=dict)
     error: dict | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "runspec": self.runspec.to_dict(),
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "payload": self.payload,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultEnvelope":
-        return cls(
-            runspec=RunSpec.from_dict(data["runspec"]),
-            version=data["version"],
-            wall_time_s=data["wall_time_s"],
-            payload=data["payload"],
-            error=data.get("error"),
-        )
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        envelope = {"runspec": self.runspec.to_dict(), "version": self.version,
+                    "wall_time_s": self.wall_time_s, "payload": self.payload}
+        if self.error is not None:
+            envelope["error"] = self.error
+        return json.dumps(_plain(envelope), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultEnvelope":
-        return cls.from_dict(json.loads(text))
+        data = json.loads(text)
+        return cls(runspec=RunSpec.from_dict(data["runspec"]), version=data["version"],
+                   wall_time_s=data["wall_time_s"], payload=_from_literals(data["payload"]),
+                   error=data.get("error"))
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +196,27 @@ def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> str:
 
 
 def _emit_csv(payload: dict) -> str:
+    # no field is ever quoted: numbers are reprs ("nan" and "inf" included)
+    # and verdicts are plain words
     kind = payload.get("kind")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
     if kind == "orbit":
         orbits = payload["orbits"]
         if len(orbits) != 1:
             raise FormatError("csv orbit output requires exactly one seed")
-        writer.writerow(["n", "re", "im"])
-        for n, literal in enumerate(orbits[0]["points"], start=-1):
-            z = parse_complex(literal)
-            writer.writerow([n, repr(z.real), repr(z.imag)])
+        rows = ["n,re,im\r\n"]
+        rows += [f"{n},{z.real!r},{z.imag!r}\r\n"
+                 for n, z in enumerate(orbits[0]["points"], start=-1)]
     elif kind == "grid":
-        writer.writerow(["re", "im", "verdict"])
-        rect = _rect_from_list(payload["region"])
+        rows = ["re,im,verdict\r\n"]
+        rect = ComplexRect(*payload["region"])
         nx, ny = payload["nx"], payload["ny"]
         for iy, row in enumerate(payload["cells"]):
             for ix, verdict in enumerate(row):
                 c = rect.center(ix, iy, nx, ny)
-                writer.writerow([repr(c.real), repr(c.imag), verdict])
+                rows.append(f"{c.real!r},{c.imag!r},{verdict}\r\n")
     else:
         raise FormatError(f"no csv form for payload kind {kind!r}")
-    return buf.getvalue()
+    return "".join(rows)
 
 
 # fixed palettes keep emission deterministic
@@ -261,13 +258,15 @@ class _Canvas:
             f'fill="{fill}" stroke="{stroke}"/>'
         )
 
-    def circle(self, x, y, r, fill):
-        self.parts.append(
-            f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" fill="{fill}"/>'
-        )
+    def circles(self, xs, ys, r, fill):
+        """One circle per point; xs and ys come formatted."""
+        r = _f(r)
+        self.parts += [f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}"/>'
+                       for x, y in zip(xs, ys)]
 
-    def polyline(self, points, stroke):
-        coords = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
+    def polyline(self, xs, ys, stroke):
+        """xs and ys come formatted."""
+        coords = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="1"/>'
@@ -287,25 +286,47 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-class _PlaneMap:
-    """Affine map from a complex-plane window onto the padded canvas."""
+def _window(values: np.ndarray) -> tuple[float, float, float]:
+    """(lo, hi, scale) of one axis: values * scale are mapped onto [lo, hi].
 
-    def __init__(self, points: list[complex], width: int, height: int):
-        res = [z.real for z in points] or [0.0]
-        ims = [z.imag for z in points] or [0.0]
-        lo_r, hi_r = min(res), max(res)
-        lo_i, hi_i = min(ims), max(ims)
-        pad_r = 0.05 * (hi_r - lo_r) or 1.0
-        pad_i = 0.05 * (hi_i - lo_i) or 1.0
-        self.lo_r, self.hi_r = lo_r - pad_r, hi_r + pad_r
-        self.lo_i, self.hi_i = lo_i - pad_i, hi_i + pad_i
+    The window pads the values' range by 5% of their spread on each
+    side, or by 1.0 where the spread is zero, at scale 1.  Where that
+    collapses (1.0 vanishes next to the magnitude) or its span overflows,
+    the axis is taken at scale 1/4 and padded by 5% of the spread, or of
+    the magnitude where the spread is zero; the span then stays finite.
+    """
+    lo, hi = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
+    pad = 0.05 * (hi - lo) or 1.0
+    if lo - pad < hi + pad and math.isfinite((hi + pad) - (lo - pad)):
+        return lo - pad, hi + pad, 1.0
+    lo, hi = 0.25 * lo, 0.25 * hi
+    pad = 0.05 * ((hi - lo) or abs(lo))
+    return lo - pad, hi + pad, 0.25
+
+
+class _PlaneMap:
+    """Affine map from a complex-plane window onto the padded canvas.
+
+    The window spans the given points, which must be finite.  xy takes
+    floats or float arrays.
+    """
+
+    def __init__(self, points: np.ndarray, width: int, height: int):
+        self.re = _window(points.real)
+        self.im = _window(points.imag)
         self.w = width - 2 * _SVG_PAD
         self.h = height - 2 * _SVG_PAD
 
-    def xy(self, z: complex) -> tuple[float, float]:
-        u = (z.real - self.lo_r) / (self.hi_r - self.lo_r)
-        v = (z.imag - self.lo_i) / (self.hi_i - self.lo_i)
+    def xy(self, re, im):
+        (lo_r, hi_r, s_r), (lo_i, hi_i, s_i) = self.re, self.im
+        u = (re * s_r - lo_r) / (hi_r - lo_r)
+        v = (im * s_i - lo_i) / (hi_i - lo_i)
         return _SVG_PAD + u * self.w, _SVG_PAD + (1 - v) * self.h
+
+    def label(self) -> str:
+        (lo_r, hi_r, s_r), (lo_i, hi_i, s_i) = self.re, self.im
+        return (f"re in [{_f(lo_r / s_r)}, {_f(hi_r / s_r)}], "
+                f"im in [{_f(lo_i / s_i)}, {_f(hi_i / s_i)}]")
 
 
 def _emit_svg(payload: dict) -> str:
@@ -321,22 +342,20 @@ def _emit_svg(payload: dict) -> str:
 
 def _svg_orbit(payload: dict) -> str:
     canvas = _Canvas(_SVG_SIZE, _SVG_SIZE)
-    orbits = [
-        [parse_complex(p) for p in orbit["points"]] for orbit in payload["orbits"]
-    ]
-    plane = _PlaneMap([z for pts in orbits for z in pts], _SVG_SIZE, _SVG_SIZE)
-    for idx, pts in enumerate(orbits):
+    # a non-finite point has no place in the plane: it is left out of the
+    # window, the polyline and the circles
+    orbits = [np.array(orbit["points"], dtype=complex) for orbit in payload["orbits"]]
+    orbits = [z[np.isfinite(z)] for z in orbits]
+    plane = _PlaneMap(np.concatenate(orbits), _SVG_SIZE, _SVG_SIZE)
+    for idx, z in enumerate(orbits):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        coords = [plane.xy(z) for z in pts]
-        canvas.polyline(coords, color)
-        for x, y in coords:
-            canvas.circle(x, y, 2.0, color)
+        xs, ys = ([f"{c:.3f}" for c in axis.tolist()] for axis in plane.xy(z.real, z.imag))
+        canvas.polyline(xs, ys, color)
+        canvas.circles(xs, ys, 2.0, color)
     canvas.frame()
     canvas.text(_SVG_PAD, _SVG_PAD - 10,
                 f"orbit plot ({len(orbits)} seed(s)), re vs im")
-    canvas.text(_SVG_PAD, _SVG_SIZE - 10,
-                f"re in [{_f(plane.lo_r)}, {_f(plane.hi_r)}], "
-                f"im in [{_f(plane.lo_i)}, {_f(plane.hi_i)}]", size=10)
+    canvas.text(_SVG_PAD, _SVG_SIZE - 10, plane.label(), size=10)
     return canvas.render()
 
 
@@ -365,18 +384,18 @@ def _svg_grid(payload: dict) -> str:
 def _svg_scan(payload: dict) -> str:
     width = 2 * _SVG_SIZE
     canvas = _Canvas(width, _SVG_SIZE)
-    alpha_max, beta_max = (parse_complex(s) for s in payload["argmax"])
-    alpha_min, beta_min = (parse_complex(s) for s in payload["argmin"])
+    alpha_max, beta_max = payload["argmax"]
+    alpha_min, beta_min = payload["argmin"]
 
     half = _SVG_SIZE
     for offset, pts, title in (
         (0, (alpha_max, alpha_min), "alpha plane"),
         (half, (beta_max, beta_min), "beta plane"),
     ):
-        plane = _PlaneMap(list(pts), half, _SVG_SIZE)
+        plane = _PlaneMap(np.array(pts, dtype=complex), half, _SVG_SIZE)
         for z, color, label in zip(pts, ("#d62728", "#1f77b4"), ("max", "min")):
-            x, y = plane.xy(z)
-            canvas.circle(offset + x, y, 4.0, color)
+            x, y = plane.xy(z.real, z.imag)
+            canvas.circles([_f(offset + x)], [_f(y)], 4.0, color)
             canvas.text(offset + x + 6, y, label, size=10)
         canvas.rect(offset + _SVG_PAD, _SVG_PAD, half - 2 * _SVG_PAD,
                     _SVG_SIZE - 2 * _SVG_PAD, "none", stroke="black")

@@ -90,7 +90,9 @@ def equilibria(params: Parameters) -> list[Equilibrium]:
     D = (1+alpha)^2 + 2*(alpha-1)*beta + beta^2.  For alpha = 0 the pair
     degenerates to {0, alpha+beta-1}, returned under its own branch tags.
     Coincident roots (D = 0) are returned twice, flagged.  A square in D
-    that overflows a double raises GuardTripped (STATUS_ESCAPED).
+    that overflows a double, or an equilibrium that is not finite (D can
+    be nan where complex ** reports no overflow), raises GuardTripped
+    (STATUS_ESCAPED).
     """
     alpha, beta = params.alpha, params.beta
     if alpha == 0:
@@ -104,10 +106,13 @@ def equilibria(params: Parameters) -> list[Equilibrium]:
         raise _overflow("the equilibrium discriminant", params) from None
     root = cmath.sqrt(disc)
     base = -1 + alpha + beta
+    z_minus, z_plus = 0.5 * (base - root), 0.5 * (base + root)
+    if not (cmath.isfinite(z_minus) and cmath.isfinite(z_plus)):
+        raise _overflow("the equilibrium discriminant", params)
     coincident = disc == 0
     return [
-        Equilibrium(0.5 * (base - root), BRANCH_MINUS, coincident),
-        Equilibrium(0.5 * (base + root), BRANCH_PLUS, coincident),
+        Equilibrium(z_minus, BRANCH_MINUS, coincident),
+        Equilibrium(z_plus, BRANCH_PLUS, coincident),
     ]
 
 
@@ -200,8 +205,8 @@ def _clark_margin_lanes(alpha_re, alpha_im, beta_re, beta_im, branch):
     cmath.sqrt, abs as hypot), so margin[i] has the bits of
     clark_margin_at(Parameters(alpha[i], beta[i]), branch) wherever
     ok[i].  ok is False exactly where that call raises GuardTripped (an
-    equilibrium at the pole, or an overflow) or returns a non-finite
-    value.  numpy's complex multiply, divide, sqrt and abs round
+    equilibrium at the pole or not finite, or an overflow) or returns a
+    non-finite value.  numpy's complex multiply, divide, sqrt and abs round
     differently, so they are not used.
     """
     a_re, a_im, b_re, b_im = alpha_re, alpha_im, beta_re, beta_im
@@ -224,9 +229,11 @@ def _clark_margin_lanes(alpha_re, alpha_im, beta_re, beta_im, branch):
         else:
             z_re = np.where(alpha_zero, b_re - 1.0, z_re)
             z_im = np.where(alpha_zero, b_im - 0.0, z_im)
-        # complex ** raises OverflowError on an infinite part
-        squares_overflow = ~alpha_zero & (np.isinf(s1_re) | np.isinf(s1_im)
-                                          | np.isinf(s2_re) | np.isinf(s2_im))
+        # complex ** raises OverflowError on an infinite part, and a
+        # non-finite zbar (D can be nan without one) raises as well
+        equilibria_escape = (~alpha_zero & (np.isinf(s1_re) | np.isinf(s1_im)
+                                            | np.isinf(s2_re) | np.isinf(s2_im))
+                             | ~(np.isfinite(z_re) & np.isfinite(z_im)))
 
         # linearization: A = beta*zbar/(1 + zbar)**2, C = -beta/(1 + zbar)
         d_re, d_im = 1.0 + z_re, 0.0 + z_im
@@ -238,7 +245,7 @@ def _clark_margin_lanes(alpha_re, alpha_im, beta_re, beta_im, branch):
     modulus_overflows = np.isfinite(d_re) & np.isfinite(d_im) & np.isinf(modulus)
     linearized = ~modulus_overflows & ~(modulus < _SINGULAR_TOL) & np.isfinite(margin)
     # beta = 0 returns 0.0 before the pole and modulus checks
-    ok = ~squares_overflow & (beta_zero | linearized)
+    ok = ~equilibria_escape & (beta_zero | linearized)
     return np.where(beta_zero, 0.0, margin), ok
 
 

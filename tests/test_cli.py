@@ -1,12 +1,18 @@
+import csv
+import dataclasses
+import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from ratdiff import ResultEnvelope, RunSpec, emit, format_complex, parse_complex
+from ratdiff import (IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
+                     format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
 from ratdiff.serialize import FormatError
 
@@ -16,6 +22,13 @@ import cases
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "ratdiff.cli", *args],
                           capture_output=True, text=True)
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not have."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 # --- complex literals ------------------------------------------------------------
@@ -120,8 +133,8 @@ def test_execute_stability_alpha_zero():
     env = execute(spec)
     assert env.error is None
     zs = [r["z"] for r in env.payload["reports"]]
-    assert parse_complex(zs[0]) == 0
-    assert parse_complex(zs[1]) == 2 + 1j
+    assert zs[0] == 0
+    assert zs[1] == 2 + 1j
 
 
 def test_execute_period_thirteen():
@@ -261,6 +274,100 @@ def test_envelope_json_round_trip():
     assert again == env
 
 
+# sha256 of the exports of a 2,000-step orbit of the chaotic pair, recorded
+# from the implementation that formatted every point as a literal in
+# execute and parsed it back in the CSV and SVG emitters
+_PINNED_ARGV = ["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+                "--steps", "2000", "--seed=0.1+0.1i,0.2-0.1i"]
+_PINNED_SHA256 = {
+    "json": "d3f80d4f7f1d138c006ec015b112f43a81762729ef53fed2eb4d2d3817a3522a",
+    "csv": "03cc347c6c9ad911aa8928fe49418524fd2d6908c30f847e54570eb78210d144",
+    "svg": "7be10222c488f8b8220b741c5eaf5a10a1e80e451f88508e4e4952594ec2f7ca",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_export_bytes_are_pinned(fmt):
+    # the svg plots a second seed as well; the json has its timing zeroed
+    argv = _PINNED_ARGV + (["--seed=-0.3+0.2i,0.4+0i"] if fmt == "svg" else [])
+    env = dataclasses.replace(execute(parse_args(argv)), wall_time_s=0.0)
+    assert hashlib.sha256(emit(env, fmt).encode()).hexdigest() == _PINNED_SHA256[fmt]
+
+
+def test_csv_reads_back_to_orbit_points():
+    text = emit(execute(parse_args(_PINNED_ARGV)), "csv")
+    rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    orbit = iterate(Parameters(0.2278 + 0.3210j, 0.82956 + 0.8221j),
+                    OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j), IterationSettings(max_steps=2000))
+    assert rows[0] == ["n", "re", "im"]
+    assert [int(n) for n, _, _ in rows[1:]] == list(range(-1, len(orbit.points) - 1))
+    assert ([(float(re).hex(), float(im).hex()) for _, re, im in rows[1:]]
+            == [(z.real.hex(), z.imag.hex()) for z in orbit.points])
+
+
+_NON_FINITE_ORBIT = ["orbit", "--alpha", "0+1e308i", "--beta", "1e308",
+                     "--seed=2,0+3i", "--steps", "5"]
+
+
+def test_non_finite_points_export_as_csv():
+    # the third point is nan+nanj: it must come out as a row float() reads
+    result = run_cli(*_NON_FINITE_ORBIT, "--format", "csv")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    rows = list(csv.reader(io.StringIO(result.stdout, newline=""), strict=True))
+    assert rows[0] == ["n", "re", "im"] and all(len(row) == 3 for row in rows)
+    values = [float(v) for row in rows[1:] for v in row[1:]]
+    assert values[:4] == [2.0, 0.0, 0.0, 3.0]
+    assert any(not math.isfinite(v) for v in values)
+
+
+def _svg_coordinates(text):
+    """Every number in a coordinate attribute of the SVG."""
+    values = []
+    for element in ET.fromstring(text).iter():
+        for name in ("x", "y", "cx", "cy", "r", "width", "height"):
+            if name in element.attrib:
+                values.append(float(element.attrib[name]))
+        for pair in element.attrib.get("points", "").split():
+            values.extend(float(v) for v in pair.split(","))
+    return values
+
+
+def test_non_finite_points_are_left_out_of_the_svg():
+    result = run_cli(*_NON_FINITE_ORBIT, "--format", "svg")
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    root = ET.fromstring(result.stdout)
+    # the two finite seeds are plotted, the nan iterate is not
+    circles = [e for e in root.iter() if e.tag.endswith("circle")]
+    assert len(circles) == 2
+    assert all(math.isfinite(v) for v in _svg_coordinates(result.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    # every point coincides far beyond where a padding of 1.0 registers
+    ["orbit", "--alpha", "1e300", "--beta", "1e300", "--seed=1e300,1e300",
+     "--steps", "5", "--format", "svg"],
+    ["scan", "--branch", "plus", "--alpha-rect=1e150,1e150,0,0",
+     "--beta-rect=1e150,1e150,0,0", "--budget", "3", "--format", "svg"],
+    # a coincident point next to the largest double, and a spread that overflows
+    ["orbit", "--alpha", "1", "--beta", "1", "--seed=1.7e308,1.7e308",
+     "--steps", "5", "--format", "svg"],
+    ["orbit", "--alpha", "1", "--beta", "1", "--seed=-1.7e308,1.7e308+1e308i",
+     "--steps", "5", "--format", "svg"],
+])
+def test_svg_window_never_collapses_or_overflows(argv):
+    result = run_cli(*argv)
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert all(math.isfinite(v) for v in _svg_coordinates(result.stdout))
+    # every marker lands inside its frame (the scan's beta plane is offset by 480)
+    for element in ET.fromstring(result.stdout).iter():
+        if element.tag.endswith("circle"):
+            assert 40 <= float(element.attrib["cx"]) % 480 <= 440
+            assert 40 <= float(element.attrib["cy"]) <= 440
+
+
 def test_emit_writes_file(tmp_path):
     env = _orbit_envelope()
     path = tmp_path / "orbit.csv"
@@ -315,6 +422,14 @@ def test_config_values_are_range_checked(tmp_path):
         parse_args(["orbit", "--config", str(cfg)])
 
 
+def test_config_values_are_checked_against_choices(tmp_path):
+    # the flag table gives a config file the parser's choices, not only its types
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("branch = bogus\nalpha-rect = 0,1,0,1\nbeta-rect = 0,1,0,1\nbudget = 5\n")
+    with pytest.raises(UsageError, match="branch"):
+        parse_args(["scan", "--config", str(cfg)])
+
+
 def test_exit_three_on_unwritable_out():
     result = run_cli("trichotomy", "--alpha", "1+0i", "--beta", "0.5+0i",
                      "--out", "/nonexistent-dir/report.json")
@@ -348,13 +463,16 @@ def test_exit_three_on_numeric_failure():
     ["stability", "--alpha", "1e200", "--beta", "1"],
     ["scan", "--branch", "plus", "--alpha-rect=1e200,1e200,0,0",
      "--beta-rect=0.5,0.5,0,0", "--budget", "5", "--rng-seed", "1"],
+    # beta**2 is nan+nanj without an OverflowError: the equilibria are nan
+    ["equilibria", "--alpha", "1e-200", "--beta", "1e200+1e200i"],
+    ["stability", "--alpha", "1e-200", "--beta", "1e200+1e200i"],
 ])
 def test_exit_three_on_overflow(argv):
     # (1 + alpha)**2 overflows a double: a numeric failure, not a crash
     result = run_cli(*argv)
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
-    assert json.loads(result.stdout)["error"]["type"] == "GuardTripped"
+    assert strict_json(result.stdout)["error"]["type"] == "GuardTripped"
 
 
 def test_lyapunov_zero_beta_writes_minus_inf():
@@ -362,11 +480,7 @@ def test_lyapunov_zero_beta_writes_minus_inf():
     result = run_cli("lyapunov", "--alpha", "0.3+0.1i", "--beta", "0",
                      "--seed", "0.1,0.2")
     assert result.returncode == 0
-
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    payload = json.loads(result.stdout, parse_constant=reject)["payload"]
+    payload = strict_json(result.stdout)["payload"]
     assert payload["lambda_max"] == "-inf"
     assert payload["converged"] is True
 
