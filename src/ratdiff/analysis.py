@@ -165,17 +165,53 @@ def detect_cycle(
     return None
 
 
-def _reference_orbit(params: Parameters, seed: OrbitSeed, n_transient: int,
+def _reference_orbit(params: Parameters, points: tuple[complex, ...], n_transient: int,
                      n_sample: int, settings: IterationSettings) -> tuple[complex, ...]:
-    """Points of a completed n_transient + n_sample step orbit, or GuardTripped."""
+    """The first n_transient + n_sample + 2 points of the orbit through points.
+
+    The orbit is continued from its last two points under iterate's
+    guards while it is shorter than that; GuardTripped if a guard trips.
+    """
     if n_transient < 0 or n_sample < 1:
         raise ValueError("need n_transient >= 0 and n_sample >= 1")
-    orbit = iterate(params, seed, IterationSettings(
-        n_transient + n_sample, settings.escape_radius, settings.singular_tol))
-    if orbit.status != STATUS_COMPLETED:
-        raise GuardTripped(orbit.status,
-                           f"orbit {orbit.status} at step {orbit.stop_step} while sampling")
-    return orbit.points
+    length = n_transient + n_sample + 2
+    if len(points) < length:
+        more = iterate(params, OrbitSeed(points[-2], points[-1]), IterationSettings(
+            length - len(points), settings.escape_radius, settings.singular_tol))
+        if more.status != STATUS_COMPLETED:
+            raise GuardTripped(more.status, f"orbit {more.status} at step "
+                                            f"{len(points) - 2 + more.stop_step} while sampling")
+        points += more.points[2:]
+    return points[:length]
+
+
+def _tangent_estimate(params: Parameters, points: tuple[complex, ...], n_transient: int,
+                      n_sample: int, singular_tol: float) -> LyapunovEstimate:
+    """lyapunov_max's estimate along the reference orbit points."""
+    w1, w2 = 1 + 0j, 0j  # tangent components along (z[n], z[n-1])
+    log_sum = 0.0
+    tail_start = n_sample - max(1, n_sample // 4)
+    tail: list[float] = []  # running means over the last quarter
+    for k, z_prev, z_curr in zip(range(n_sample), points[n_transient:], points[n_transient + 1:]):
+        a11, a12 = tangent(params, z_prev, z_curr, singular_tol)
+        w1, w2 = a11 * w1 + a12 * w2, w1
+        growth = math.hypot(abs(w1), abs(w2))
+        if growth == 0:
+            return LyapunovEstimate(-math.inf, n_transient, n_sample, converged=True)
+        log_sum += math.log(growth)
+        w1 /= growth
+        w2 /= growth
+        if k >= tail_start:
+            tail.append(log_sum / (k + 1))
+
+    lam = tail[-1]
+    drift = max(abs(v - lam) for v in tail)
+    return LyapunovEstimate(
+        lambda_max=lam,
+        n_transient=n_transient,
+        n_sample=n_sample,
+        converged=(drift < 1e-3 and n_sample >= 1000),
+    )
 
 
 def lyapunov_max(
@@ -197,32 +233,8 @@ def lyapunov_max(
 
     Raises GuardTripped when a guard trips within the sampled orbit.
     """
-    points = _reference_orbit(params, seed, n_transient, n_sample, settings)
-    tol = settings.singular_tol
-    w1, w2 = 1 + 0j, 0j  # tangent components along (z[n], z[n-1])
-    log_sum = 0.0
-    tail_start = n_sample - max(1, n_sample // 4)
-    tail: list[float] = []  # running means over the last quarter
-    for k, z_prev, z_curr in zip(range(n_sample), points[n_transient:], points[n_transient + 1:]):
-        a11, a12 = tangent(params, z_prev, z_curr, tol)
-        w1, w2 = a11 * w1 + a12 * w2, w1
-        growth = math.hypot(abs(w1), abs(w2))
-        if growth == 0:
-            return LyapunovEstimate(-math.inf, n_transient, n_sample, converged=True)
-        log_sum += math.log(growth)
-        w1 /= growth
-        w2 /= growth
-        if k >= tail_start:
-            tail.append(log_sum / (k + 1))
-
-    lam = tail[-1]
-    drift = max(abs(v - lam) for v in tail)
-    return LyapunovEstimate(
-        lambda_max=lam,
-        n_transient=n_transient,
-        n_sample=n_sample,
-        converged=(drift < 1e-3 and n_sample >= 1000),
-    )
+    points = _reference_orbit(params, (seed.z_minus1, seed.z_0), n_transient, n_sample, settings)
+    return _tangent_estimate(params, points, n_transient, n_sample, settings.singular_tol)
 
 
 def lyapunov_divergence_oracle(
@@ -244,7 +256,7 @@ def lyapunov_divergence_oracle(
     """
     if not 1e-10 <= delta <= 1e-6:
         raise ValueError("delta must lie in [1e-10, 1e-6]")
-    points = _reference_orbit(params, seed, n_transient, n, settings)
+    points = _reference_orbit(params, (seed.z_minus1, seed.z_0), n_transient, n, settings)
     esc, tol = settings.escape_radius, settings.singular_tol
     w_prev, w_curr = points[n_transient], points[n_transient + 1] + delta
 
@@ -294,16 +306,14 @@ def classify_orbit(
     if cycle is not None:
         return OrbitClassification(VERDICT_PERIODIC, cycle=cycle)
 
+    # the tangent estimate runs along this same orbit, continued only
+    # where it is shorter than the reference orbit lyapunov_max uses
+    lt, ls = analysis.lyapunov_transient, analysis.lyapunov_sample
     try:
-        estimate = lyapunov_max(
-            params,
-            seed,
-            n_transient=analysis.lyapunov_transient,
-            n_sample=analysis.lyapunov_sample,
-            settings=settings,
-        )
+        points = _reference_orbit(params, orbit.points, lt, ls, settings)
     except GuardTripped as exc:
         return OrbitClassification(_GUARD_VERDICTS[exc.status])
+    estimate = _tangent_estimate(params, points, lt, ls, settings.singular_tol)
     if estimate.lambda_max > analysis.chaos_threshold:
         return OrbitClassification(VERDICT_CHAOTIC, lyapunov=estimate)
     return OrbitClassification(VERDICT_UNDETERMINED, lyapunov=estimate)
@@ -416,12 +426,13 @@ def classify_lanes(
     OrbitSeed(z_minus1[i], z_0[i]), settings, analysis).verdict.
 
     Each arithmetic step is one numpy operation over every undecided
-    lane, and no lane's orbit is stored whole.  The first pass iterates
-    settings.max_steps steps with the tangent estimate alongside, keeping
-    the last analysis.window points and the state at the transient cut;
-    lanes leave at a guard trip or a settled window.  The second replays
-    the rest from the cut through the cycle test.  The third extends the
-    orbit, guards included, while the Lyapunov sample reaches beyond it.
+    lane, and no lane's orbit is stored whole.  One loop iterates
+    settings.max_steps steps, or on to the end of the Lyapunov reference
+    orbit when that is longer, with the tangent estimate alongside; it
+    keeps the last analysis.window points and the state at the transient
+    cut, and lanes leave at a guard trip.  Where classify_orbit's orbit
+    ends, the settled windows leave, and a replay from the cut runs the
+    cycle test.
     """
     lanes = dict(zip(("a", "b", "prev", "curr"), (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0))))))
@@ -437,51 +448,38 @@ def classify_lanes(
     cut = _transient_cut(n, analysis.max_period)
     periods = min(analysis.max_period, n - cut - 1)  # detect_cycle tries 1..periods
     lt, ls = analysis.lyapunov_transient, analysis.lyapunov_sample
-    tangent_ok = lt >= 0 and ls >= 1
+    last = max(n - 1, lt + ls + 1)  # lyapunov_max's reference orbit holds points[:lt + ls + 2]
     window = range(n)[-analysis.window:] if n >= analysis.window else None
     esc = settings.escape_radius
 
     with np.errstate(all="ignore"):
         outside = [~(np.hypot(z.real, z.imag) <= esc) for z in (lanes["prev"], lanes["curr"])]
         _decide(lanes, verdicts, {VERDICT_UNBOUNDED: outside[0] | outside[1]})
-        for m in range(1, n):  # lanes["curr"] is points[m]
+        for m in range(1, last + 1):  # lanes["curr"] is points[m]
             if not lanes["id"].size:
                 return verdicts.tolist()
-            if m == cut:
+            if m == cut and periods >= 1:
                 lanes["cut_prev"], lanes["cut_curr"] = lanes["prev"], lanes["curr"]
-            if window and m >= window.start:
+            if window and m in window:
                 if "tail" not in lanes:
                     lanes["tail"] = np.empty((len(window), lanes["id"].size), dtype=complex)
                     if window.start == 0:
                         lanes["tail"][0] = lanes["prev"]
                 lanes["tail"][m - window.start] = lanes["curr"]
-            if tangent_ok and lt < m <= lt + ls:
-                _tangent_step(lanes)
-            if m < n - 1:
-                _advance(lanes, verdicts, settings)
-
-        if window is not None:
-            tail = lanes.pop("tail", np.empty((0, lanes["id"].size), dtype=complex))
-            settled = [_settled_mean(np.ascontiguousarray(tail[:, i]), analysis.convergence_tol)
-                       is not None for i in range(tail.shape[1])]
-            del tail
-            _decide(lanes, verdicts, {VERDICT_CONVERGES: np.array(settled, dtype=bool)})
-
-        if periods >= 1:
-            _decide(lanes, verdicts, {VERDICT_PERIODIC: _periodic_tails(
-                lanes, n - cut, periods, settings, analysis)})
-        lanes.pop("cut_prev", None)
-        lanes.pop("cut_curr", None)
-        if not tangent_ok and lanes["id"].size:
-            raise ValueError("need n_transient >= 0 and n_sample >= 1")
-
-        # lyapunov_max's reference orbit holds points[:lt + ls + 2]
-        for m in range(n, lt + ls + 2):
-            if not lanes["id"].size:
-                break
-            _advance(lanes, verdicts, settings)
             if lt < m <= lt + ls:
                 _tangent_step(lanes)
+            if m == n - 1:  # the orbit classify_orbit iterates is complete
+                if window is not None:
+                    settled = [_settled_mean(np.ascontiguousarray(col), analysis.convergence_tol)
+                               is not None for col in lanes.pop("tail").T]
+                    _decide(lanes, verdicts, {VERDICT_CONVERGES: np.array(settled, dtype=bool)})
+                if periods >= 1:
+                    _decide(lanes, verdicts, {VERDICT_PERIODIC: _periodic_tails(
+                        lanes, n - cut, periods, settings, analysis)})
+                if (lt < 0 or ls < 1) and lanes["id"].size:
+                    raise ValueError("need n_transient >= 0 and n_sample >= 1")
+            if m < last:
+                _advance(lanes, verdicts, settings)
 
         lam = np.where(lanes["collapsed"], -np.inf, lanes["log_sum"] / ls)
         _decide(lanes, verdicts, {VERDICT_CHAOTIC: lam > analysis.chaos_threshold})

@@ -423,6 +423,8 @@ def _run_identities(spec: RunSpec) -> dict:
         report = check_identities(params, orbit)
     except HypothesisError as exc:
         raise UsageError(f"--beta: {exc}") from None
+    except ValueError:  # the seed escaped: no iterate to check
+        raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}") from None
     return {
         "kind": "identities",
         "status": orbit.status,

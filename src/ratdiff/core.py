@@ -48,9 +48,16 @@ class GuardTripped(ArithmeticError):
         self.status = status
 
 
-def _pole(z: complex) -> GuardTripped:
-    return GuardTripped(STATUS_SINGULAR,
-                        f"map pole: |1 + z| = {abs(1 + z):.3e} at z = {z!r}")
+def _denominator(z_curr: complex, singular_tol: float) -> complex:
+    """1 + z_curr, or GuardTripped at the pole or where its modulus overflows."""
+    denom = 1 + z_curr
+    try:
+        modulus = abs(denom)
+    except OverflowError:  # finite parts, modulus above the largest double
+        raise GuardTripped(STATUS_ESCAPED, f"|1 + z| overflows a double at z = {z_curr!r}") from None
+    if modulus < singular_tol:
+        raise GuardTripped(STATUS_SINGULAR, f"map pole: |1 + z| = {modulus:.3e} at z = {z_curr!r}")
+    return denom
 
 
 def _require_finite(name: str, z: complex) -> None:
@@ -135,11 +142,10 @@ def step(
 ) -> complex:
     """Advance one step: (z[n-1], z[n]) -> z[n+1].
 
-    Raises GuardTripped (STATUS_SINGULAR) when |1 + z_curr| < singular_tol.
+    Raises GuardTripped: STATUS_SINGULAR when |1 + z_curr| < singular_tol,
+    STATUS_ESCAPED when that modulus overflows a double.
     """
-    denom = 1 + z_curr
-    if abs(denom) < singular_tol:
-        raise _pole(z_curr)
+    denom = _denominator(z_curr, singular_tol)
     return (params.alpha + params.alpha * z_curr + params.beta * z_prev) / denom
 
 
@@ -256,9 +262,7 @@ def tangent(
     so its bottom row is the constant (1, 0).  a11 = d z[n+1] / d z[n] =
     -beta*z_prev/(1+z_curr)^2 and a12 = d z[n+1] / d z[n-1] =
     beta/(1+z_curr); the map is holomorphic away from the pole, so these
-    are the complex derivatives.
+    are the complex derivatives.  Raises GuardTripped as step() does.
     """
-    denom = 1 + z_curr
-    if abs(denom) < singular_tol:
-        raise _pole(z_curr)
+    denom = _denominator(z_curr, singular_tol)
     return -params.beta * z_prev / (denom * denom), params.beta / denom

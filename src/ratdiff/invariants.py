@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import Orbit, Parameters, STATUS_SINGULAR
+from .core import Orbit, Parameters, STATUS_SINGULAR, _within
 
 __all__ = [
     "VERDICT_FINITE_LIMIT",
@@ -154,16 +154,19 @@ def check_identities(params: Parameters, orbit: Orbit) -> IdentityReport:
     """Maximum relative residuals of the exact identities over an orbit.
 
     Requires beta = alpha + 1 (HypothesisError otherwise) and a
-    nonsingular orbit.  The identities are algebraically exact in that
-    regime, so residuals beyond rounding noise indicate a bug.
+    nonsingular orbit with at least one iterate.  The identities are
+    algebraically exact in that regime, so residuals beyond rounding
+    noise indicate a bug.
     """
     alpha, beta = params.alpha, params.beta
-    if abs(beta - (alpha + 1)) > _PERIOD_TWO_TOL:
+    if not _within(beta - (alpha + 1), _PERIOD_TWO_TOL):
         raise HypothesisError(
             f"identities require beta = alpha + 1; got beta - (alpha+1) = {beta - (alpha + 1)!r}"
         )
     if orbit.status == STATUS_SINGULAR:
         raise ValueError("identities are undefined across a singular orbit")
+    if len(orbit.points) < 3:
+        raise ValueError("identities need an orbit with at least one iterate")
 
     pts = orbit.points
     z = lambda n: pts[n + 1]  # z[-1] is pts[0]
@@ -201,7 +204,7 @@ def period_two_pairs(params: Parameters) -> PeriodTwoFamily | None:
     when phi != psi); in that regime the solutions form the
     one-dimensional family exposed by PeriodTwoFamily.
     """
-    if abs(params.beta - (params.alpha + 1)) > _PERIOD_TWO_TOL:
+    if not _within(params.beta - (params.alpha + 1), _PERIOD_TWO_TOL):
         return None
     return PeriodTwoFamily(alpha=params.alpha)
 

@@ -5,9 +5,10 @@ of them is a tuple) until JSON is written.  JSON is the canonical
 interchange format and the one place where complex numbers become "a+bi"
 literals, printed with Python's shortest round-trip float repr, so
 parse(print(z)) is the identity on finite doubles (signed zeros
-included).  CSV covers orbit and grid tables (RFC 4180 line endings);
-SVG 1.1 is written by hand so plots stay dependency-free and diffable.
-Both are rendered straight from the numbers.
+included), and non-finite parts read back as nan and inf.  CSV covers
+orbit and grid tables (RFC 4180 line endings); SVG 1.1 is written by
+hand so plots stay dependency-free and diffable.  Both are rendered
+straight from the numbers.
 """
 
 from __future__ import annotations
@@ -38,13 +39,17 @@ class FormatError(ValueError):
 
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_FULL = re.compile(rf"^\s*([+-]?{_FLOAT})([+-]{_FLOAT})i\s*$")
+_PART = rf"(?:{_FLOAT}|nan|inf)"
+_RE_FULL = re.compile(rf"^\s*([+-]?{_PART})([+-]{_PART})i\s*$")
 _RE_REAL = re.compile(rf"^\s*([+-]?{_FLOAT})\s*$")
 _RE_IMAG = re.compile(rf"^\s*([+-]?{_FLOAT})i\s*$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse an "a+bi" literal (bare reals and pure imaginaries allowed)."""
+    """Parse an "a+bi" literal (bare reals and pure imaginaries allowed).
+
+    The full form also reads the nan and inf parts format_complex writes.
+    """
     m = _RE_FULL.match(text)
     if m:
         return complex(float(m.group(1)), float(m.group(2)))

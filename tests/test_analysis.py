@@ -2,7 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ratdiff.analysis
 from ratdiff import (
     AnalysisSettings,
     GuardTripped,
@@ -260,6 +263,57 @@ def test_classify_deterministic_and_total():
         assert first.verdict == second.verdict
         assert first.verdict in {"converges", "periodic", "unbounded",
                                  "chaotic", "singular", "undetermined"}
+
+
+def _estimate_bits(estimate):
+    return (estimate.lambda_max.hex(), estimate.n_transient, estimate.n_sample,
+            estimate.converged)
+
+
+_coordinate = st.floats(-1.5, 1.5, allow_nan=False)
+_complex = st.builds(complex, _coordinate, _coordinate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.one_of(st.just(Parameters(0.2278 + 0.3210j, 0.82956 + 0.8221j)),
+                        st.builds(Parameters, _complex, _complex)),
+       seed=st.builds(OrbitSeed, _complex, _complex),
+       transient=st.integers(0, 40), sample=st.integers(1, 120),
+       side=st.sampled_from([-1, 0, 1]), gap=st.integers(1, 80))
+# this orbit escapes at point 584: inside the continuation of a 90-step orbit
+@example(params=Parameters(0.2278 + 0.321j, -0.25 + 1.3j), seed=OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j),
+         transient=50, sample=540, side=-1, gap=500)
+def test_classify_orbit_estimate_is_lyapunov_max(params, seed, transient, sample, side, gap):
+    # max_steps below, at or above the reference orbit's transient + sample
+    iteration = IterationSettings(max_steps=max(1, transient + sample + side * gap))
+    analysis = AnalysisSettings(lyapunov_transient=transient, lyapunov_sample=sample)
+    result = classify_orbit(params, seed, iteration, analysis)
+    if result.lyapunov is not None:
+        estimate = lyapunov_max(params, seed, transient, sample, iteration)
+        assert _estimate_bits(result.lyapunov) == _estimate_bits(estimate)
+    elif result.verdict in ("unbounded", "singular") and result.guard_step is None:
+        # a guard tripped while the orbit was continued for the estimate
+        with pytest.raises(GuardTripped) as info:
+            lyapunov_max(params, seed, transient, sample, iteration)
+        assert {"escaped": "unbounded", "singular": "singular"}[info.value.status] == result.verdict
+
+
+def test_classify_orbit_iterates_each_point_once(monkeypatch):
+    asked = []
+
+    def counting_iterate(params, seed, settings):
+        asked.append(settings.max_steps)
+        return iterate(params, seed, settings)
+
+    monkeypatch.setattr(ratdiff.analysis, "iterate", counting_iterate)
+    params, seed = Parameters(0.2278 + 0.3210j, 0.82956 + 0.8221j), OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j)
+    # the default orbit already holds the 5,500-step reference orbit
+    assert classify_orbit(params, seed).verdict == "chaotic"
+    assert sum(asked) == 10_000
+    asked.clear()
+    # a 4,000-step orbit is continued by the 1,500 steps it lacks
+    assert classify_orbit(params, seed, IterationSettings(max_steps=4000)).verdict == "chaotic"
+    assert sum(asked) == 5_500
 
 
 # --- lockstep classification ---------------------------------------------------

@@ -61,6 +61,21 @@ def test_complex_round_trip_full_precision():
     z = complex(0.0, -0.0)
     back = parse_complex(format_complex(z))
     assert math.copysign(1, back.imag) == -1
+    # non-finite parts read back; a nan keeps its sign in the imaginary part,
+    # where format_complex writes it
+    nan, inf = math.nan, math.inf
+    for z in (complex(nan, -nan), complex(inf, 0.0), complex(-inf, inf), complex(1.5, -inf),
+              complex(-nan, nan), complex(nan, -0.0)):
+        text = format_complex(z)
+        back = parse_complex(text)
+        for got, want in ((back.real, z.real), (back.imag, z.imag)):
+            if math.isnan(want):
+                assert math.isnan(got), text
+            else:
+                assert got == want, text
+        assert math.copysign(1, back.imag) == math.copysign(1, z.imag), text
+        if not math.isnan(z.real):
+            assert math.copysign(1, back.real) == math.copysign(1, z.real), text
 
 
 # --- parsing ----------------------------------------------------------------------
@@ -321,6 +336,16 @@ def test_non_finite_points_export_as_csv():
     assert any(not math.isfinite(v) for v in values)
 
 
+def test_non_finite_points_read_back_from_json():
+    result = run_cli(*_NON_FINITE_ORBIT)
+    assert result.returncode == 0
+    strict_json(result.stdout)
+    envelope = ResultEnvelope.from_json(result.stdout)
+    points = envelope.payload["orbits"][0]["points"]
+    assert points[:2] == (2 + 0j, 3j)
+    assert isinstance(points[2], complex) and math.isnan(points[2].real)
+
+
 def _svg_coordinates(text):
     """Every number in a coordinate attribute of the SVG."""
     values = []
@@ -408,6 +433,9 @@ def test_exit_two_on_usage():
     # finite span, but the last cell centre overflows
     ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-0.5e308,1.2e308,-1,1",
      "--resolution", "2x1"],
+    # beta - (alpha + 1) overflows a double: far from the beta = alpha + 1 hypothesis
+    ["identities", "--alpha=-1.7e+308+0i", "--beta=-1+1.683e+308i",
+     "--seed=-9.9e+199+2i,1000.0+0.0i", "--steps", "5"],
 ])
 def test_exit_two_on_out_of_range_value(argv):
     result = run_cli(*argv)
@@ -466,9 +494,12 @@ def test_exit_three_on_numeric_failure():
     # beta**2 is nan+nanj without an OverflowError: the equilibria are nan
     ["equilibria", "--alpha", "1e-200", "--beta", "1e200+1e200i"],
     ["stability", "--alpha", "1e-200", "--beta", "1e200+1e200i"],
+    # the seed is outside the escape radius, so no iterate is left to check
+    ["identities", "--alpha", "1", "--seed=2e6,0", "--steps", "5"],
 ])
 def test_exit_three_on_overflow(argv):
-    # (1 + alpha)**2 overflows a double: a numeric failure, not a crash
+    # (1 + alpha)**2 overflows a double, or the orbit escapes before the
+    # command has anything to report: a numeric failure, not a crash
     result = run_cli(*argv)
     assert result.returncode == 3
     assert "Traceback" not in result.stderr

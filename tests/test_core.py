@@ -110,6 +110,15 @@ def test_iterate_modulus_overflow_escapes():
     assert orbit.status == "escaped" and orbit.stop_step == 0
 
 
+def test_step_and_tangent_modulus_overflow_escapes():
+    # the same rule for a single step and for the Jacobian: a modulus above
+    # the largest double is outside, not an OverflowError
+    for f in (step, tangent):
+        with pytest.raises(GuardTripped) as info:
+            f(Parameters(1, 1), 0j, 1.5e308 + 1.5e308j)
+        assert info.value.status == "escaped"
+
+
 def test_iterate_zero_map_reaches_zero():
     orbit = iterate(Parameters(0, 0), OrbitSeed(2 + 3j, -0.7j),
                     IterationSettings(max_steps=10))

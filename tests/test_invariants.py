@@ -143,6 +143,23 @@ def test_identities_require_hypothesis():
         check_identities(p, orbit)
 
 
+def test_hypothesis_fails_where_the_difference_overflows():
+    # beta - (alpha + 1) has finite parts but a modulus above the largest double
+    p = Parameters(-1.7e308, -1 + 1.683e308j)
+    orbit = iterate(p, OrbitSeed(0.1, 0.2), IterationSettings(max_steps=5))
+    with pytest.raises(HypothesisError):
+        check_identities(p, orbit)
+    assert period_two_pairs(p) is None
+
+
+def test_identities_need_an_iterate():
+    p = Parameters(1, 2)
+    orbit = iterate(p, OrbitSeed(2e6, 0), IterationSettings(max_steps=5))
+    assert orbit.status == "escaped" and len(orbit.points) == 2
+    with pytest.raises(ValueError, match="iterate"):
+        check_identities(p, orbit)
+
+
 # --- period-two family --------------------------------------------------------
 
 def test_no_pairs_outside_regime():
