@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import detect_cycle, lyapunov_max
-from .core import (STATUS_COMPLETED, STATUS_SINGULAR, GuardTripped, IterationSettings,
+from .core import (STATUS_COMPLETED, GuardTripped, IterationSettings,
                    Orbit, OrbitSeed, Parameters, iterate)
 from .invariants import HypothesisError, check_identities, trichotomy
 from .scan import ComplexRect, GridSpec, classification_grid, scan_margin
@@ -417,13 +417,11 @@ def _run_identities(spec: RunSpec) -> dict:
     params = Parameters(alpha, beta)
     seed = _seed_list(spec)[0]
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
-    if orbit.status == STATUS_SINGULAR:
-        raise GuardTripped(STATUS_SINGULAR, f"orbit singular at step {orbit.stop_step}")
     try:
         report = check_identities(params, orbit)
     except HypothesisError as exc:
         raise UsageError(f"--beta: {exc}") from None
-    except ValueError:  # the seed escaped: no iterate to check
+    except ValueError:  # a singular orbit, or a seed that escaped: no iterate to check
         raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}") from None
     return {
         "kind": "identities",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import AnalysisSettings, classify_lanes
 from .core import STATUS_SINGULAR, GuardTripped, IterationSettings, OrbitSeed, Parameters
-from .stability import BRANCH_MINUS, BRANCH_PLUS, _clark_margin_lanes, clark_margin_at
+from .stability import BRANCH_MINUS, BRANCH_PLUS, _clark_margin_lanes
 
 __all__ = [
     "ComplexRect",
@@ -83,6 +83,17 @@ class ExtremaReport:
     samples: int
 
 
+def _lane_clip(x, lo, hi):
+    """min(max(x, lo), hi) in every lane, ties broken as Python breaks them.
+
+    max(x, lo) is x unless lo > x, and min(y, hi) is y unless hi < y, so
+    a tie keeps x, signed zeros included; np.maximum and np.minimum
+    would return the other operand.
+    """
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
 def scan_margin(
     branch: str,
     region_alpha: ComplexRect,
@@ -99,95 +110,86 @@ def scan_margin(
     max/min are nondecreasing/nonincreasing in budget.
 
     The draws come in blocks of rows, one row of four uniforms per
-    evaluation.  Every row's global point is evaluated up front by the
-    lane kernel, which has the bits of clark_margin_at; the block is
-    then walked in order, and a local proposal, which depends on the
-    best point so far, is evaluated when its row comes.
+    evaluation, and every margin comes from the lane kernel, which has
+    the bits of clark_margin_at.  Every row's global point is evaluated
+    up front.  A target's local proposals depend on its best point and
+    shrink level, so the target's remaining local rows in the block are
+    evaluated together when its first one comes, and again from the
+    next one on after the point or the level moves.  The block is
+    walked in order, reading one precomputed value per row.
     """
     if branch not in (BRANCH_MINUS, BRANCH_PLUS):
         raise ValueError(f"branch must be {BRANCH_MINUS!r} or {BRANCH_PLUS!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(rng_seed)
+    # (min, max, span) of each part: alpha re, alpha im, beta re, beta im
+    axes = [axis for r in (region_alpha, region_beta)
+            for axis in ((r.re_min, r.re_max, r.re_span), (r.im_min, r.im_max, r.im_span))]
 
-    best_max = -np.inf
-    best_min = np.inf
-    arg_max = arg_min = None
-    level_max = level_min = 0  # shrink level per refinement target
-    evaluated = 0
+    def lanes(parts):
+        margins, ok = _clark_margin_lanes(*parts, branch)
+        return margins.tolist(), ok.tolist(), parts
 
-    def propose_local(center: tuple[complex, complex], level: int,
-                      u: list[float]) -> tuple[complex, complex]:
-        # Python floats round like numpy's float64 scalars and cost less
+    def local_lanes(rows, centre, level):
+        # one proposal per row, clip(centre part + (2u - 1) * shrink * span),
+        # in the float operations of a scalar proposal
         shrink = 0.5**level
-        da = complex(
-            (2 * u[0] - 1) * shrink * region_alpha.re_span,
-            (2 * u[1] - 1) * shrink * region_alpha.im_span,
-        )
-        db = complex(
-            (2 * u[2] - 1) * shrink * region_beta.re_span,
-            (2 * u[3] - 1) * shrink * region_beta.im_span,
-        )
-        return (
-            region_alpha.clip(center[0] + da),
-            region_beta.clip(center[1] + db),
-        )
+        centre_parts = (centre[0].real, centre[0].imag, centre[1].real, centre[1].imag)
+        with np.errstate(over="ignore"):  # past the largest double the clip saturates
+            return lanes([_lane_clip(c + (2 * rows[:, k] - 1) * shrink * span, lo, hi)
+                          for k, (c, (lo, hi, span)) in enumerate(zip(centre_parts, axes))])
+
+    best = [-math.inf, math.inf]  # running max, min
+    arg = [None, None]  # their points, the centres of the local proposals
+    level = [0, 0]  # shrink level per refinement target
+    evaluated = 0
+    cycle = 2 * _REFINE_EVERY
+    # local proposals alternate: the max's target, then the min's
+    target_of_phase = {_REFINE_EVERY - 1: 0, cycle - 1: 1}
 
     for start in range(0, budget, _BLOCK_ROWS):
         # one (rows, 4) draw continues the stream as rows calls of random(4) would
         u = rng.random((min(_BLOCK_ROWS, budget - start), 4))
         # the global point of each row: min + u * span in both rectangles
-        a_re = region_alpha.re_min + u[:, 0] * region_alpha.re_span
-        a_im = region_alpha.im_min + u[:, 1] * region_alpha.im_span
-        b_re = region_beta.re_min + u[:, 2] * region_beta.re_span
-        b_im = region_beta.im_min + u[:, 3] * region_beta.im_span
-        margins, ok = _clark_margin_lanes(a_re, a_im, b_re, b_im, branch)
-        margins, ok = margins.tolist(), ok.tolist()
-        for j in range(len(ok)):
-            # local proposals alternate: the max's target, then the min's
-            phase = (start + j) % (2 * _REFINE_EVERY)
-            refine_max = phase == _REFINE_EVERY - 1
-            refine_min = phase == 2 * _REFINE_EVERY - 1
-            if refine_max and arg_max is not None:
-                point = propose_local(arg_max, level_max, u[j].tolist())
-            elif refine_min and arg_min is not None:
-                point = propose_local(arg_min, level_min, u[j].tolist())
+        global_rows = lanes([lo + u[:, k] * span for k, (lo, _, span) in enumerate(axes)])
+        local = [None, None]  # per target: (first row, lanes of its rows from there on)
+        for j in range(len(u)):
+            target = target_of_phase.get((start + j) % cycle)
+            if target is not None and arg[target] is None:
+                target = None
+            if target is None:
+                i, (margins, ok, parts) = j, global_rows
             else:
-                refine_max = refine_min = False
-                point = None
-            if point is not None:
-                try:
-                    value = clark_margin_at(Parameters(*point), branch)
-                except GuardTripped:
-                    continue
-                if not math.isfinite(value):
-                    continue
-            elif ok[j]:
-                value = margins[j]
-            else:
+                if local[target] is None:
+                    local[target] = j, local_lanes(u[j::cycle], arg[target], level[target])
+                first, (margins, ok, parts) = local[target]
+                i = (j - first) // cycle
+            if not ok[i]:
                 continue
+            value = margins[i]
             evaluated += 1
-            improved_max = value > best_max
-            improved_min = value < best_min
-            if (improved_max or improved_min) and point is None:
-                point = (complex(a_re[j], a_im[j]), complex(b_re[j], b_im[j]))
-            if improved_max:
-                best_max, arg_max = value, point
-            if improved_min:
-                best_min, arg_min = value, point
-            if refine_max and not improved_max:
-                level_max = min(level_max + 1, _SHRINK_LEVELS - 1)
-            if refine_min and not improved_min:
-                level_min = min(level_min + 1, _SHRINK_LEVELS - 1)
+            improved = (value > best[0], value < best[1])
+            if improved[0] or improved[1]:
+                point = (complex(parts[0][i], parts[1][i]), complex(parts[2][i], parts[3][i]))
+            elif target is None:
+                continue
+            for t in (0, 1):
+                if improved[t]:
+                    best[t], arg[t] = value, point
+                    local[t] = None
+                elif t == target and level[t] < _SHRINK_LEVELS - 1:
+                    level[t] += 1
+                    local[t] = None
 
-    if arg_max is None:
+    if arg[0] is None:
         raise GuardTripped(STATUS_SINGULAR, "no sample in the scan has a finite margin: "
                                             "each hit the map pole or overflowed")
     return ExtremaReport(
-        max_value=best_max,
-        argmax=arg_max,
-        min_value=best_min,
-        argmin=arg_min,
+        max_value=best[0],
+        argmax=arg[0],
+        min_value=best[1],
+        argmin=arg[1],
         samples=evaluated,
     )
 

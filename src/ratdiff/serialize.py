@@ -291,6 +291,11 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
+def _bound(v: float) -> str:
+    # .3f would write a bound near 1e308 with 309 digits
+    return f"{v:.3e}" if abs(v) >= 1e6 else _f(v)
+
+
 def _window(values: np.ndarray) -> tuple[float, float, float]:
     """(lo, hi, scale) of one axis: values * scale are mapped onto [lo, hi].
 
@@ -330,8 +335,8 @@ class _PlaneMap:
 
     def label(self) -> str:
         (lo_r, hi_r, s_r), (lo_i, hi_i, s_i) = self.re, self.im
-        return (f"re in [{_f(lo_r / s_r)}, {_f(hi_r / s_r)}], "
-                f"im in [{_f(lo_i / s_i)}, {_f(hi_i / s_i)}]")
+        return (f"re in [{_bound(lo_r / s_r)}, {_bound(hi_r / s_r)}], "
+                f"im in [{_bound(lo_i / s_i)}, {_bound(hi_i / s_i)}]")
 
 
 def _emit_svg(payload: dict) -> str:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -10,6 +11,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratdiff import (IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
                      format_complex, iterate, parse_complex)
@@ -223,6 +226,7 @@ def _orbit_envelope(steps=3):
 def test_csv_orbit_shape():
     env = _orbit_envelope(1)  # seed pts + 1 iterate = 3 points
     text = emit(env, "csv")
+    _strict_csv(text)
     lines = text.split("\r\n")
     assert lines[0] == "n,re,im"
     assert len([ln for ln in lines[1:] if ln]) == 3
@@ -436,6 +440,8 @@ def test_exit_two_on_usage():
     # beta - (alpha + 1) overflows a double: far from the beta = alpha + 1 hypothesis
     ["identities", "--alpha=-1.7e+308+0i", "--beta=-1+1.683e+308i",
      "--seed=-9.9e+199+2i,1000.0+0.0i", "--steps", "5"],
+    # the hypothesis fails, and the orbit is singular at step 1: the usage error wins
+    ["identities", "--alpha", "1", "--beta", "5", "--seed=-1,-1"],
 ])
 def test_exit_two_on_out_of_range_value(argv):
     result = run_cli(*argv)
@@ -484,6 +490,59 @@ def test_exit_three_on_numeric_failure():
     assert result.returncode == 3
     envelope = json.loads(result.stdout)
     assert envelope["error"]["type"] == "GuardTripped"
+
+
+def test_svg_label_writes_large_bounds_in_exponent_form():
+    result = run_cli("orbit", "--alpha", "1", "--beta", "1", "--seed=1.7e308,1.7e308",
+                     "--steps", "5", "--format", "svg")
+    assert result.returncode == 0
+    labels = [e.text for e in ET.fromstring(result.stdout).iter() if e.tag.endswith("text")]
+    window = [text for text in labels if text.startswith("re in")]
+    # a fixed-point bound near 1e308 alone would be 309 digits long
+    assert window and all(len(text) <= 60 for text in window)
+    assert "1.615e+308" in window[0] and "-1.000" in window[0]
+
+
+def _strict_csv(text):
+    """Rows of an RFC 4180 CSV: CRLF line ends, no stray quotes, one width."""
+    assert text.endswith("\r\n")
+    rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
+    assert rows and len({len(row) for row in rows}) == 1
+
+
+# a bound from 0 to the edge of the doubles, signed zeros included
+_BOUND = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2, 2),
+                   st.floats(-1.7e308, 1.7e308, allow_nan=False))
+_RECT = st.lists(_BOUND, min_size=4, max_size=4).map(
+    lambda b: ",".join(repr(v) for v in sorted(b[:2]) + sorted(b[2:])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(branch=st.sampled_from(["plus", "minus"]), alpha_rect=_RECT, beta_rect=_RECT,
+       budget=st.integers(1, 3000), rng_seed=st.integers(0, 2**32 - 1),
+       fmt=st.sampled_from(["json", "csv", "svg"]))
+def test_scan_cli_exits_cleanly_with_strict_output(branch, alpha_rect, beta_rect, budget,
+                                                   rng_seed, fmt):
+    argv = ["scan", "--branch", branch, f"--alpha-rect={alpha_rect}",
+            f"--beta-rect={beta_rect}", "--budget", str(budget), "--rng-seed", str(rng_seed),
+            "--format", fmt]
+    # any other exception escapes and fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value with exit 2
+            code = exc.code
+    assert code in (0, 2, 3), (code, err.getvalue())
+    text = out.getvalue()
+    if code == 3 or (code == 0 and fmt == "json"):
+        strict_json(text)
+    elif code == 0 and fmt == "svg":
+        ET.fromstring(text)
+    elif code == 0:
+        _strict_csv(text)
+    else:
+        assert text == ""
 
 
 @pytest.mark.parametrize("argv", [

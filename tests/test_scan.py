@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,9 @@ from ratdiff import (
     classify_orbit,
     scan_margin,
 )
-from ratdiff.scan import _BLOCK_ROWS
+from ratdiff.core import STATUS_SINGULAR, GuardTripped
+from ratdiff.scan import _BLOCK_ROWS, _REFINE_EVERY, _SHRINK_LEVELS, ExtremaReport, _lane_clip
+from ratdiff.stability import _clark_margin_lanes
 
 import cases
 
@@ -138,6 +142,138 @@ def test_scan_extrema_monotone_across_block_boundaries(branch, rng_seed, corner,
     assert b.max_value >= a.max_value
     assert b.min_value <= a.min_value
     assert a.samples <= b.samples <= small + extra
+
+
+def _reference_scan(branch, region_alpha, region_beta, budget, rng_seed):
+    """scan_margin walking one local proposal at a time.
+
+    The global rows come from the lane kernel, block by block; each local
+    proposal is built from Python floats, clipped by ComplexRect.clip and
+    evaluated by clark_margin_at when its row comes.
+    """
+    rng = np.random.default_rng(rng_seed)
+    best_max, best_min = -np.inf, np.inf
+    arg_max = arg_min = None
+    level_max = level_min = 0
+    evaluated = 0
+
+    def propose_local(center, level, u):
+        shrink = 0.5**level
+        da = complex((2 * u[0] - 1) * shrink * region_alpha.re_span,
+                     (2 * u[1] - 1) * shrink * region_alpha.im_span)
+        db = complex((2 * u[2] - 1) * shrink * region_beta.re_span,
+                     (2 * u[3] - 1) * shrink * region_beta.im_span)
+        return region_alpha.clip(center[0] + da), region_beta.clip(center[1] + db)
+
+    for start in range(0, budget, _BLOCK_ROWS):
+        u = rng.random((min(_BLOCK_ROWS, budget - start), 4))
+        a_re = region_alpha.re_min + u[:, 0] * region_alpha.re_span
+        a_im = region_alpha.im_min + u[:, 1] * region_alpha.im_span
+        b_re = region_beta.re_min + u[:, 2] * region_beta.re_span
+        b_im = region_beta.im_min + u[:, 3] * region_beta.im_span
+        margins, ok = _clark_margin_lanes(a_re, a_im, b_re, b_im, branch)
+        margins, ok = margins.tolist(), ok.tolist()
+        for j in range(len(ok)):
+            phase = (start + j) % (2 * _REFINE_EVERY)
+            refine_max = phase == _REFINE_EVERY - 1
+            refine_min = phase == 2 * _REFINE_EVERY - 1
+            if refine_max and arg_max is not None:
+                point = propose_local(arg_max, level_max, u[j].tolist())
+            elif refine_min and arg_min is not None:
+                point = propose_local(arg_min, level_min, u[j].tolist())
+            else:
+                refine_max = refine_min = False
+                point = None
+            if point is not None:
+                try:
+                    value = clark_margin_at(Parameters(*point), branch)
+                except GuardTripped:
+                    continue
+                if not math.isfinite(value):
+                    continue
+            elif ok[j]:
+                value = margins[j]
+            else:
+                continue
+            evaluated += 1
+            improved_max = value > best_max
+            improved_min = value < best_min
+            if (improved_max or improved_min) and point is None:
+                point = (complex(a_re[j], a_im[j]), complex(b_re[j], b_im[j]))
+            if improved_max:
+                best_max, arg_max = value, point
+            if improved_min:
+                best_min, arg_min = value, point
+            if refine_max and not improved_max:
+                level_max = min(level_max + 1, _SHRINK_LEVELS - 1)
+            if refine_min and not improved_min:
+                level_min = min(level_min + 1, _SHRINK_LEVELS - 1)
+
+    if arg_max is None:
+        raise GuardTripped(STATUS_SINGULAR, "no sample in the scan has a finite margin: "
+                                            "each hit the map pole or overflowed")
+    return ExtremaReport(best_max, arg_max, best_min, arg_min, evaluated)
+
+
+def _scan_outcome(scan, *args):
+    """Bits and reprs of a scan's extrema and its sample count, or its guard message."""
+    try:
+        report = scan(*args)
+    except GuardTripped as exc:
+        return str(exc)
+    return [report.max_value.hex(), repr(report.argmax), report.min_value.hex(),
+            repr(report.argmin), report.samples]
+
+
+# bounds at the signed zeros, in the unit box, and out where a proposal
+# around the centre passes the largest double and the clip saturates
+_BOUND = st.one_of(st.sampled_from([0.0, -0.0, -1e307, 1e307, -8e307, 8e307]),
+                   st.floats(-1.5, 1.5))
+
+
+def _rect(bounds):
+    re_min, re_max = sorted(bounds[:2])
+    im_min, im_max = sorted(bounds[2:])
+    return ComplexRect(re_min, re_max, im_min, im_max)
+
+
+_RECT = st.one_of(
+    st.lists(_BOUND, min_size=4, max_size=4).map(_rect),
+    st.tuples(_BOUND, _BOUND).map(lambda b: ComplexRect(b[0], b[0], b[1], b[1])),
+)
+_BUDGET = st.one_of(
+    st.integers(1, 40),
+    st.builds(lambda blocks, offset: max(1, blocks * _BLOCK_ROWS + offset),
+              st.integers(1, 2), st.integers(-3, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branch=st.sampled_from(["plus", "minus"]), region_alpha=_RECT, region_beta=_RECT,
+       budget=_BUDGET, rng_seed=st.integers(0, 2**32 - 1))
+# alpha = 0 on the minus branch gives the margin |beta|: the max is pushed to
+# the edge of a rectangle 1.6e308 wide, and its proposals overflow to inf
+@example(branch="minus", region_alpha=ComplexRect(-0.0, 0.0, 0.0, -0.0),
+         region_beta=ComplexRect(-8e307, 8e307, -1.0, 1.0), budget=_BLOCK_ROWS + 3,
+         rng_seed=1)
+@example(branch="plus", region_alpha=UNIT, region_beta=ComplexRect(-0.0, 0.0, -0.0, 0.0),
+         budget=_BLOCK_ROWS - 3, rng_seed=2)
+def test_scan_equals_one_proposal_at_a_time(branch, region_alpha, region_beta, budget,
+                                            rng_seed):
+    args = (branch, region_alpha, region_beta, budget, rng_seed)
+    assert _scan_outcome(scan_margin, *args) == _scan_outcome(_reference_scan, *args)
+
+
+def test_lane_clip_breaks_ties_as_complex_rect_clip():
+    # np.maximum and np.minimum return the other operand on a tie of signed
+    # zeros; ComplexRect.clip, by Python's max and min, keeps the value
+    values = [-0.0, 0.0, -1.0, 1.0, math.inf, -math.inf]
+    for lo in (-0.0, 0.0):
+        for hi in (-0.0, 0.0):
+            rect = ComplexRect(lo, hi, lo, hi)
+            lanes = _lane_clip(np.array(values), lo, hi).tolist()
+            assert [v.hex() for v in lanes] \
+                == [rect.clip(complex(v, v)).real.hex() for v in values]
 
 
 def test_scan_skips_overflowing_draws():
