@@ -57,6 +57,11 @@ VERDICT_UNDETERMINED = "undetermined"
 
 _GUARD_VERDICTS = {STATUS_SINGULAR: VERDICT_SINGULAR, STATUS_ESCAPED: VERDICT_UNBOUNDED}
 
+# classify_lanes compares each lane's state with its last _HISTORY states
+# every _CHECK steps (_retire)
+_HISTORY = 24
+_CHECK = 32
+
 
 @dataclass(frozen=True)
 class AnalysisSettings:
@@ -320,9 +325,19 @@ def classify_orbit(
 
 
 def _keep(lanes: dict, keep: np.ndarray) -> None:
-    """Drop the lanes not in keep from every working array (lane axis last)."""
+    """Drop the lanes not in keep from every working array (lane axis last).
+
+    A nested dict holds a subset of the lanes, their positions in its
+    "pos" array; it drops the subset's members that leave, and its own
+    arrays run along the subset.
+    """
     for key, value in lanes.items():
-        lanes[key] = value[..., keep]
+        if isinstance(value, dict):
+            pos = value["pos"]
+            value["pos"] = (np.cumsum(keep) - 1)[pos]
+            _keep(value, keep[pos])
+        else:
+            lanes[key] = np.compress(keep, value, axis=-1)  # C-contiguous, as _bits' view needs
 
 
 def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray],
@@ -371,44 +386,127 @@ def _tangent_step(lanes: dict) -> None:
     lanes["w1"], lanes["w2"] = w1 / growth, w2 / growth
 
 
-def _periodic_tails(lanes: dict, tail_length: int, periods: int,
-                    settings: IterationSettings, analysis: AnalysisSettings) -> np.ndarray:
-    """detect_cycle's answer for each lane, replaying its tail from the transient cut.
+def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float) -> None:
+    """detect_cycle's test at point m (lanes["curr"]) of the tail points[cut:].
 
-    lanes["cut_prev"], lanes["cut_curr"] hold (points[cut - 1], points[cut]).
-    A ring keeps the last `periods` tail points; a (period, lane) pair
-    stays listed while every pair of tail points that far apart has
-    held.  Once every period has been tried, lanes with none listed
-    stop replaying.
+    lanes["cycle"] holds the lanes still under test.  Its ring keeps
+    their last `periods` points, point k in row k % periods, and a
+    (period, lane) pair stays in its "pairs" while every pair of tail
+    points that far apart has held.  Once every period has been tried, a
+    lane leaves the test with its last pair or when it closes.
     """
-    count = lanes["id"].size
-    cyc = {"pos": np.arange(count), "a": lanes["a"], "b": lanes["b"],
-           "prev": lanes.pop("cut_prev"), "curr": lanes.pop("cut_curr"),
-           "ring": np.empty((periods, count), dtype=complex)}  # tail[i] in row i % periods
-    period = lane = np.empty(0, dtype=np.intp)
-    for j in range(tail_length):  # cyc["curr"] is tail[j]
-        z, ring = cyc["curr"], cyc["ring"]
-        if 1 <= j <= periods:  # period j meets its first pair
-            period = np.concatenate((period, np.full(z.size, j)))
-            lane = np.concatenate((lane, np.arange(z.size)))
-        past = ring[(j - period) % periods, lane]
-        held = np.abs(z[lane] - past) <= analysis.cycle_tol * (1 + np.abs(past))
-        period, lane = period[held], lane[held]
-        ring[j % periods] = z
-        if j >= periods:
-            keep = np.zeros(z.size, dtype=bool)
-            keep[lane] = True
-            if not keep.all():
-                lane = (np.cumsum(keep) - 1)[lane]
-                _keep(cyc, keep)
-        if j == tail_length - 1 or not cyc["pos"].size:
-            break
-        cyc["prev"], cyc["curr"] = cyc["curr"], _lane_step(
-            cyc["a"], cyc["b"], cyc["prev"], cyc["curr"],
-            settings.singular_tol, settings.escape_radius)[0]
-    periodic = np.zeros(count, dtype=bool)
-    periodic[cyc["pos"][lane]] = True
-    return periodic
+    cycle = lanes["cycle"]
+    z, ring, pairs = lanes["curr"][cycle["pos"]], cycle["ring"], cycle["pairs"]
+    period, lane = pairs["period"], pairs["pos"]
+    if 1 <= m - cut <= periods:  # period m - cut meets its first pair
+        period = np.concatenate((period, np.full(z.size, m - cut)))
+        lane = np.concatenate((lane, np.arange(z.size)))
+    past = ring[(m - period) % periods, lane]
+    held = np.abs(z[lane] - past) <= tol * (1 + np.abs(past))
+    pairs["period"], pairs["pos"] = period[held], lane[held]
+    ring[m % periods] = z
+    if m - cut >= periods:
+        keep = np.zeros(z.size, dtype=bool)
+        keep[pairs["pos"]] = True
+        keep &= lanes["open"][cycle["pos"]]
+        if not keep.any():
+            del lanes["cycle"]
+        elif not keep.all():
+            _keep(cycle, keep)
+
+
+def _bits(ring: np.ndarray) -> np.ndarray:
+    """The int64 (real, imag) bit patterns of a complex ring, last axis of 2.
+
+    Comparing bits keeps 0.0 and -0.0 apart, as the map's arithmetic may.
+    """
+    return ring.view(np.int64).reshape(*ring.shape, 2)
+
+
+def _history_repeats(hist: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, periods) of the lanes whose state at m repeats within hist.
+
+    hist holds points[m - rows + 1 .. m], point k in row k % rows; a
+    lane's period is the smallest P with (points[m - 1 - P], points[m - P])
+    equal to (points[m - 1], points[m]).
+    """
+    rows = hist.shape[0]
+    bits = _bits(hist)
+    equal = []  # equal[i][r, lane]: row r holds points[m - i]
+    for k in (m, m - 1):
+        parts = bits == bits[k % rows]
+        equal.append(parts[..., 0] & parts[..., 1])
+    shift = np.arange(1, min(rows - 2, m - 1) + 1)
+    same = equal[0][(m - shift) % rows] & equal[1][(m - 1 - shift) % rows]
+    cols = np.flatnonzero(same.any(axis=0))
+    return cols, same[:, cols].argmax(axis=0) + 1
+
+
+def _pair_repeats(cycle: dict, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, periods) of the cycle lanes whose state at m repeats at
+    the distance of a pair they still hold, the longest such pair each."""
+    ring = cycle["ring"]
+    rows = ring.shape[0]
+    period, col = cycle["pairs"]["period"], cycle["pairs"]["pos"]
+    fits = period <= rows - 2  # both states in the ring, as m - rows >= cut
+    period, col = period[fits], col[fits]
+    bits = _bits(ring)
+    same = np.ones(period.size, dtype=bool)
+    for k in (m, m - 1):
+        parts = bits[(k - period) % rows, col] == bits[k % rows, col]
+        same &= parts[:, 0] & parts[:, 1]
+    longest = np.zeros(ring.shape[1], dtype=np.intp)
+    np.maximum.at(longest, col[same], period[same])
+    cols = np.flatnonzero(longest)
+    return cols, longest[cols]
+
+
+def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
+            window: range | None, analysis: AnalysisSettings) -> None:
+    """Close the lanes whose state at point m repeats bit for bit.
+
+    When (points[m - 1], points[m]) equals (points[m - 1 - P],
+    points[m - P]) bit for bit, every later point repeats with period P
+    from s = m - P - 1 on, and no guard trips again.  The lane converges
+    when classify_orbit's window lies at or after s and settles, rebuilt
+    from the cycle.  Otherwise it is periodic when detect_cycle's test
+    passes with distance 0 for the rest of the tail: before the cut (the
+    repeat is found in lanes["hist"], the last _HISTORY + 2 points), when
+    P is a period the test tries; after it, when the lane still holds the
+    pair of period P (found in the cycle test's ring).  Any other lane
+    stays.
+    """
+    if "hist" in lanes:  # m < cut, so the cycle starts within the cut
+        ring = lanes["hist"]
+        cols, period = _history_repeats(ring, m)
+        pos = cols
+        cycled = (period <= periods) & (0 <= analysis.cycle_tol)
+    elif "cycle" in lanes and m - cut >= periods:
+        # only now does the ring hold just the lanes with a pair, so that
+        # dropping lanes copies little of it
+        ring = lanes["cycle"]["ring"]
+        cols, period = _pair_repeats(lanes["cycle"], m)
+        pos = lanes["cycle"]["pos"][cols]
+        cycled = np.ones(cols.size, dtype=bool)
+    else:
+        return
+    is_open = lanes["open"][pos]  # closed lanes wait in the arrays until they are dropped
+    cols, period, pos, cycled = cols[is_open], period[is_open], pos[is_open], cycled[is_open]
+    onset = m - period - 1
+    settled = np.zeros(cols.size, dtype=bool)
+    if window is not None:
+        known = np.flatnonzero(onset <= window.start)
+        # window point k is points[s + (k - s) % P], rebuilt lane by lane
+        s, p = onset[known, None], period[known, None]
+        tails = ring[(s + (np.array(window) - s) % p) % ring.shape[0], cols[known, None]]
+        settled[known] = [_settled_mean(tail, analysis.convergence_tol) is not None
+                          for tail in tails]
+        cycled &= onset <= window.start
+    masks = {}
+    for verdict, mask in ((VERDICT_CONVERGES, settled), (VERDICT_PERIODIC, cycled & ~settled)):
+        masks[verdict] = np.zeros(lanes["id"].size, dtype=bool)
+        masks[verdict][pos[mask]] = True
+    _decide(lanes, verdicts, masks, slack=0.25)
 
 
 def classify_lanes(
@@ -426,13 +524,14 @@ def classify_lanes(
     OrbitSeed(z_minus1[i], z_0[i]), settings, analysis).verdict.
 
     Each arithmetic step is one numpy operation over every undecided
-    lane, and no lane's orbit is stored whole.  One loop iterates
-    settings.max_steps steps, or on to the end of the Lyapunov reference
-    orbit when that is longer, with the tangent estimate alongside; it
-    keeps the last analysis.window points and the state at the transient
-    cut, and lanes leave at a guard trip.  Where classify_orbit's orbit
-    ends, the settled windows leave, and a replay from the cut runs the
-    cycle test.
+    lane, and no lane's orbit is stored whole.  One loop steps every
+    lane once per point: settings.max_steps steps, or on to the end of
+    the Lyapunov reference orbit when that is longer, with the tangent
+    estimate alongside and, from the transient cut on, detect_cycle's
+    test.  Lanes leave at a guard trip, and every _CHECK steps those
+    whose state repeats bit for bit leave with the verdict the repeat
+    fixes (_retire).  Where classify_orbit's orbit ends, the settled
+    windows and the locked cycles leave.
     """
     lanes = dict(zip(("a", "b", "prev", "curr"), (np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0))))))
@@ -455,11 +554,23 @@ def classify_lanes(
     with np.errstate(all="ignore"):
         outside = [~(np.hypot(z.real, z.imag) <= esc) for z in (lanes["prev"], lanes["curr"])]
         _decide(lanes, verdicts, {VERDICT_UNBOUNDED: outside[0] | outside[1]})
+        lanes["hist"] = np.empty((_HISTORY + 2, lanes["id"].size), dtype=complex)
+        lanes["hist"][0] = lanes["prev"]
         for m in range(1, last + 1):  # lanes["curr"] is points[m]
             if not lanes["id"].size:
                 return verdicts.tolist()
-            if m == cut and periods >= 1:
-                lanes["cut_prev"], lanes["cut_curr"] = lanes["prev"], lanes["curr"]
+            if m == cut:  # the cycle test's ring takes over from the history
+                del lanes["hist"]
+                if periods >= 1:
+                    pos = np.flatnonzero(lanes["open"])
+                    lanes["cycle"] = {"pos": pos,
+                                      "ring": np.empty((periods, pos.size), dtype=complex),
+                                      "pairs": {"pos": np.empty(0, dtype=np.intp),
+                                                "period": np.empty(0, dtype=np.intp)}}
+            if "hist" in lanes:
+                lanes["hist"][m % (_HISTORY + 2)] = lanes["curr"]
+            if "cycle" in lanes:
+                _cycle_step(lanes, m, cut, periods, analysis.cycle_tol)
             if window and m in window:
                 if "tail" not in lanes:
                     lanes["tail"] = np.empty((len(window), lanes["id"].size), dtype=complex)
@@ -468,14 +579,18 @@ def classify_lanes(
                 lanes["tail"][m - window.start] = lanes["curr"]
             if lt < m <= lt + ls:
                 _tangent_step(lanes)
+            if m % _CHECK == 0 and m < n - 1:
+                _retire(lanes, verdicts, m, cut, periods, window, analysis)
             if m == n - 1:  # the orbit classify_orbit iterates is complete
                 if window is not None:
                     settled = [_settled_mean(np.ascontiguousarray(col), analysis.convergence_tol)
                                is not None for col in lanes.pop("tail").T]
                     _decide(lanes, verdicts, {VERDICT_CONVERGES: np.array(settled, dtype=bool)})
-                if periods >= 1:
-                    _decide(lanes, verdicts, {VERDICT_PERIODIC: _periodic_tails(
-                        lanes, n - cut, periods, settings, analysis)})
+                if "cycle" in lanes:
+                    cycle = lanes.pop("cycle")
+                    periodic = np.zeros(lanes["id"].size, dtype=bool)
+                    periodic[cycle["pos"][cycle["pairs"]["pos"]]] = True
+                    _decide(lanes, verdicts, {VERDICT_PERIODIC: periodic})
                 if (lt < 0 or ls < 1) and lanes["id"].size:
                     raise ValueError("need n_transient >= 0 and n_sample >= 1")
             if m < last:

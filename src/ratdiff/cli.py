@@ -472,6 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"ratdiff: {exc}", file=sys.stderr)
         return 2
+    except SystemExit as exc:
+        if exc.code != 2:  # --help and --version exit 0
+            raise
+        return 2  # argparse rejected the command line and printed why
 
     try:
         envelope = execute(spec)

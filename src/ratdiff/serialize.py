@@ -291,9 +291,13 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
-def _bound(v: float) -> str:
-    # .3f would write a bound near 1e308 with 309 digits
-    return f"{v:.3e}" if abs(v) >= 1e6 else _f(v)
+def _bound(v: float, scale: float) -> str:
+    """The window bound v / scale; .3f would write one near 1e308 with 309 digits."""
+    q = v / scale
+    if math.isinf(q):  # a padded bound at scale 1/4 may pass the largest double
+        from decimal import Decimal  # here, as importing it costs every start-up 6 ms
+        return f"{Decimal(v) / Decimal(scale):.3e}"
+    return f"{q:.3e}" if abs(q) >= 1e6 else _f(q)
 
 
 def _window(values: np.ndarray) -> tuple[float, float, float]:
@@ -335,8 +339,8 @@ class _PlaneMap:
 
     def label(self) -> str:
         (lo_r, hi_r, s_r), (lo_i, hi_i, s_i) = self.re, self.im
-        return (f"re in [{_bound(lo_r / s_r)}, {_bound(hi_r / s_r)}], "
-                f"im in [{_bound(lo_i / s_i)}, {_bound(hi_i / s_i)}]")
+        return (f"re in [{_bound(lo_r, s_r)}, {_bound(hi_r, s_r)}], "
+                f"im in [{_bound(lo_i, s_i)}, {_bound(hi_i, s_i)}]")
 
 
 def _emit_svg(payload: dict) -> str:

@@ -373,3 +373,129 @@ def test_lanes_extend_the_orbit_past_the_lyapunov_sample():
                               iteration, analysis) == [verdict]
         verdicts.append(verdict)
     assert verdicts[0] == "unbounded" != verdicts[1]
+
+
+# --- lanes that leave once their state repeats ------------------------------------
+
+# the bench's mixed grid: alpha and the seed are fixed, beta takes dyadic
+# cell centres, and most bounded cells end on an orbit that repeats bit
+# for bit
+_ALPHA, _SEED = 0.2278 + 0.321j, OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j)
+_QUICK = AnalysisSettings(lyapunov_transient=50, lyapunov_sample=100)
+
+
+def _lane_and_orbit(monkeypatch, beta, seed, steps, analysis=_QUICK):
+    """(classify_lanes' verdict, classify_orbit's verdict, steps the lane took)."""
+    taken = []
+    real = ratdiff.analysis._lane_step
+
+    def counting(alpha, *rest):
+        taken.append(alpha.size)
+        return real(alpha, *rest)
+
+    monkeypatch.setattr(ratdiff.analysis, "_lane_step", counting)
+    iteration = IterationSettings(max_steps=steps)
+    [verdict] = classify_lanes(_ALPHA, beta, seed.z_minus1, seed.z_0, iteration, analysis)
+    expected = classify_orbit(Parameters(_ALPHA, beta), seed, iteration, analysis).verdict
+    return verdict, expected, sum(taken)
+
+
+def _fixed_point_orbit(beta):
+    # this orbit is constant from point 365 on
+    return iterate(Parameters(_ALPHA, beta), _SEED, IterationSettings(max_steps=400)).points
+
+
+def test_lanes_retire_an_exact_fixed_point(monkeypatch):
+    beta = -0.046875 - 0.890625j
+    # from the seed, the state first repeats at point 367: the lane leaves
+    # at the next check, 32 steps apart, long before the transient cut
+    assert _lane_and_orbit(monkeypatch, beta, _SEED, 1000) == ("converges", "converges", 383)
+    # seeded on the fixed point, it leaves at the first check
+    z = _fixed_point_orbit(beta)[-1]
+    assert _lane_and_orbit(monkeypatch, beta, OrbitSeed(z, z), 100) == (
+        "converges", "converges", 31)
+
+
+@pytest.mark.parametrize("beta, start, steps, taken", [
+    # a last-bit 2-cycle: the orbit settles onto two points one rounding
+    # apart, and the state repeats at point 171
+    (0.140625 - 0.703125j, None, 1000, 191),
+    # seeded 30 points before the fixed point, so that the check at point
+    # 32 finds the repeat with no point to spare
+    (-0.046875 - 0.890625j, 335, 100, 31),
+])
+def test_lanes_rebuild_the_window_of_a_retired_lane_bit_for_bit(monkeypatch, beta, start, steps,
+                                                                taken):
+    # convergence_tol on classify_orbit's decision boundary: the window
+    # rebuilt from the cycle gives the same mean and deviations, or the
+    # lane that leaves at the check would take the other verdict
+    seed = _SEED if start is None else OrbitSeed(*_fixed_point_orbit(beta)[start:start + 2])
+    orbit = iterate(Parameters(_ALPHA, beta), seed, IterationSettings(max_steps=steps))
+    limit_tol = _threshold(
+        lambda t: detect_convergence(orbit, t, _QUICK.window) is not None, 0.0, 1.0)
+    for tol, verdict in ((limit_tol, "converges"), (np.nextafter(limit_tol, 0), "periodic")):
+        analysis = replace(_QUICK, convergence_tol=tol)
+        assert _lane_and_orbit(monkeypatch, beta, seed, steps, analysis) == (
+            verdict, verdict, taken)
+
+
+def test_history_repeats_compare_bits_and_report_the_smallest_period():
+    rows = ratdiff.analysis._HISTORY + 2
+    m = 5 * rows + 3
+    k = np.arange(m - rows + 1, m + 1)  # the points the history holds, point k in row k % rows
+    lanes = [
+        [complex(i % 3, 0.0) for i in k],  # period 3, and so 6, 9, ...
+        [complex(0.0 if i % 2 else -0.0, 0.0) for i in k],  # equal values, period 2 in bits
+        [complex(i, 0.0) for i in k],  # no repeat
+    ]
+    hist = np.empty((rows, len(lanes)), dtype=complex)
+    hist[k % rows] = np.array(lanes).T
+    cols, periods = ratdiff.analysis._history_repeats(hist, m)
+    assert cols.tolist() == [0, 1] and periods.tolist() == [3, 2]
+
+
+def test_lanes_retire_a_cycle_before_the_cut(monkeypatch):
+    # period 4 from point 486 on: the repeat passes detect_cycle's test
+    # with distance 0 from the cut at 2,001 on
+    beta = -0.984375 - 0.421875j
+    assert _lane_and_orbit(monkeypatch, beta, _SEED, 4000) == ("periodic", "periodic", 511)
+    # unless detect_cycle tries no period of 4 or more, or no distance passes
+    for analysis in (replace(_QUICK, max_period=3), replace(_QUICK, cycle_tol=-1.0)):
+        verdict, expected, steps = _lane_and_orbit(monkeypatch, beta, _SEED, 4000, analysis)
+        assert verdict == expected != "periodic" and steps == 4000
+
+
+def test_lanes_retire_a_cycle_longer_than_the_history(monkeypatch):
+    # period 48 from point 971 on, past the history of the last states;
+    # the cycle test's ring finds it once every period has been tried
+    assert ratdiff.analysis._HISTORY < 48
+    assert _lane_and_orbit(monkeypatch, -0.234375 - 1.171875j, _SEED, 4000) == (
+        "periodic", "periodic", 2143)
+
+
+def test_lanes_retire_a_cycle_that_starts_after_the_cut(monkeypatch):
+    # 3,000 steps put the cut at 1,501, before the period-80 cycle starts
+    # at point 1,878; the lane still holds the pair of period 80
+    assert _lane_and_orbit(monkeypatch, 0.421875 - 1.078125j, _SEED, 3000) == (
+        "periodic", "periodic", 1983)
+    # 600 steps put the cut at 301, before the fixed point at 365
+    assert _lane_and_orbit(monkeypatch, -0.046875 - 0.890625j, _SEED, 600) == (
+        "converges", "converges", 447)
+
+
+def test_lanes_keep_a_cycle_whose_onset_is_inside_the_window(monkeypatch):
+    # the period-2 cycle starts at point 398 and the state repeats at 401;
+    # at 418 steps the window starts at point 388, before the onset, so
+    # the lane stays to the end of the orbit; at 500 steps it leaves
+    beta = 0.515625 - 0.796875j
+    assert _lane_and_orbit(monkeypatch, beta, _SEED, 418) == ("converges", "converges", 418)
+    assert _lane_and_orbit(monkeypatch, beta, _SEED, 500) == ("converges", "converges", 415)
+
+
+def test_lanes_before_the_first_check(monkeypatch):
+    # 20 steps end before the first check at point 32: the fixed point
+    # stays to the end, where the orbit is shorter than the window
+    beta = -0.046875 - 0.890625j
+    z = _fixed_point_orbit(beta)[-1]
+    assert ratdiff.analysis._CHECK > 21
+    assert _lane_and_orbit(monkeypatch, beta, OrbitSeed(z, z), 20) == ("periodic", "periodic", 20)

@@ -503,6 +503,18 @@ def test_svg_label_writes_large_bounds_in_exponent_form():
     assert "1.615e+308" in window[0] and "-1.000" in window[0]
 
 
+def test_svg_label_writes_bounds_past_the_largest_double():
+    # the re spread overflows, so the window is taken at scale 1/4, and its
+    # padded bounds lie beyond the largest double once scaled back
+    result = run_cli("orbit", "--alpha", "1", "--beta", "1", "--seed=-1.7e308,1.7e308+1e308i",
+                     "--steps", "5", "--format", "svg")
+    assert result.returncode == 0
+    labels = [e.text for e in ET.fromstring(result.stdout).iter() if e.tag.endswith("text")]
+    window = [text for text in labels if text.startswith("re in")]
+    assert window and "inf" not in window[0] and "nan" not in window[0]
+    assert window[0].startswith("re in [-1.870e+308, 1.870e+308], ")
+
+
 def _strict_csv(text):
     """Rows of an RFC 4180 CSV: CRLF line ends, no stray quotes, one width."""
     assert text.endswith("\r\n")
@@ -526,13 +538,14 @@ def test_scan_cli_exits_cleanly_with_strict_output(branch, alpha_rect, beta_rect
     argv = ["scan", "--branch", branch, f"--alpha-rect={alpha_rect}",
             f"--beta-rect={beta_rect}", "--budget", str(budget), "--rng-seed", str(rng_seed),
             "--format", fmt]
-    # any other exception escapes and fails the test
+    _exits_cleanly_with_strict_output(argv, fmt)
+
+
+def _exits_cleanly_with_strict_output(argv, fmt):
+    # any exception, SystemExit included, escapes and fails the test
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag value with exit 2
-            code = exc.code
+        code = main(argv)
     assert code in (0, 2, 3), (code, err.getvalue())
     text = out.getvalue()
     if code == 3 or (code == 0 and fmt == "json"):
@@ -543,6 +556,39 @@ def test_scan_cli_exits_cleanly_with_strict_output(branch, alpha_rect, beta_rect
         _strict_csv(text)
     else:
         assert text == ""
+
+
+@settings(max_examples=50, deadline=None)
+@given(vary=st.sampled_from(["seed", "alpha", "beta"]), rect=_RECT,
+       nx=st.integers(1, 4), ny=st.integers(1, 4), steps=st.integers(1, 600),
+       fmt=st.sampled_from(["json", "csv", "svg"]))
+def test_grid_cli_exits_cleanly_with_strict_output(vary, rect, nx, ny, steps, fmt):
+    # the chaotic catalog pair and the bench seed: cells that escape,
+    # settle, lock onto a cycle or stay chaotic, whatever is varied
+    argv = ["grid", "--vary", vary, "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+            "--seed=0.1+0.1i,0.2-0.1i", f"--rect={rect}", "--resolution", f"{nx}x{ny}",
+            "--steps", str(steps), "--format", fmt]
+    _exits_cleanly_with_strict_output(argv, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--branch", "bogus"],
+    ["scan", "--branch", "plus", "--alpha-rect=1,0,0,1", "--beta-rect=0,1,0,1"],
+    ["grid", "--vary", "seed", "--alpha", "1", "--beta", "1", "--rect=0,1,0,1",
+     "--resolution", "0x0"],
+    ["orbit", "--alpha", "1", "--beta", "1", "--steps", "0"],
+    ["no-such-command"],
+])
+def test_main_returns_two_when_argparse_rejects_the_command_line(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["grid", "--help"]])
+def test_main_help_and_version_still_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("argv", [
