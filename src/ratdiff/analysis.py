@@ -62,6 +62,9 @@ _GUARD_VERDICTS = {STATUS_SINGULAR: VERDICT_SINGULAR, STATUS_ESCAPED: VERDICT_UN
 _HISTORY = 24
 _CHECK = 32
 
+# the lanes' float64 parts of alpha, beta, z[m-1] and z[m], as _lane_step takes them
+_PARTS = ("a_re", "a_im", "b_re", "b_im", "p_re", "p_im", "c_re", "c_im")
+
 
 @dataclass(frozen=True)
 class AnalysisSettings:
@@ -184,8 +187,9 @@ def _reference_orbit(params: Parameters, points: tuple[complex, ...], n_transien
         more = iterate(params, OrbitSeed(points[-2], points[-1]), IterationSettings(
             length - len(points), settings.escape_radius, settings.singular_tol))
         if more.status != STATUS_COMPLETED:
-            raise GuardTripped(more.status, f"orbit {more.status} at step "
-                                            f"{len(points) - 2 + more.stop_step} while sampling")
+            stop = len(points) - 2 + more.stop_step
+            raise GuardTripped(more.status, f"orbit {more.status} at step {stop} while sampling",
+                               stop, more.points[more.stop_step])
         points += more.points[2:]
     return points[:length]
 
@@ -267,11 +271,13 @@ def lyapunov_divergence_oracle(
 
     floor = delta * 1e-6  # keep contracting separations representable
     log_sum = 0.0
-    for z_prev, z_curr in zip(points[n_transient + 1:], points[n_transient + 2:]):
+    for k, (z_prev, z_curr) in enumerate(zip(points[n_transient + 1:], points[n_transient + 2:]),
+                                         n_transient + 2):
         w_prev, w_curr = w_curr, step(params, w_prev, w_curr, tol)
         if not abs(w_curr) <= esc:
             raise GuardTripped(STATUS_ESCAPED,
-                               f"companion |z| = {abs(w_curr):.3e} left the escape radius")
+                               f"companion |z| = {abs(w_curr):.3e} left the escape radius",
+                               k, w_curr)
         sep = math.hypot(abs(w_curr - z_curr), abs(w_prev - z_prev))
         if sep > 1e-2 or sep < floor:
             log_sum += math.log(max(sep, floor) / delta)
@@ -355,16 +361,26 @@ def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray],
         for verdict, mask in masks.items():
             verdicts[lanes["id"][mask & is_open]] = verdict
         is_open &= ~done
+        # a closed lane steps on at z = 0 with alpha = beta = 0, a fixed
+        # point, so that _lane_step's bounds still decide every lane
+        for key in _PARTS:
+            lanes[key][done] = 0.0
     if np.count_nonzero(is_open) < (1 - slack) * is_open.size:
         _keep(lanes, is_open)
 
 
 def _advance(lanes: dict, verdicts: np.ndarray, settings: IterationSettings) -> None:
     """Step every lane once, closing the lanes that trip a guard with its verdict."""
-    z_next, singular, escaped = _lane_step(lanes["a"], lanes["b"], lanes["prev"], lanes["curr"],
-                                           settings.singular_tol, settings.escape_radius)
-    lanes["prev"], lanes["curr"] = lanes["curr"], z_next
-    _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped}, slack=0.25)
+    x_re, x_im, singular, escaped = _lane_step(*(lanes[key] for key in _PARTS),
+                                               settings.singular_tol, settings.escape_radius)
+    lanes["p_re"], lanes["p_im"], lanes["c_re"], lanes["c_im"] = (
+        lanes["c_re"], lanes["c_im"], x_re, x_im)
+    curr = np.empty(x_re.size, dtype=complex)
+    curr.real, curr.imag = x_re, x_im
+    lanes["prev"], lanes["curr"] = lanes["curr"], curr
+    if singular is not None:
+        _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped},
+                slack=0.25)
 
 
 def _tangent_step(lanes: dict) -> None:
@@ -373,17 +389,24 @@ def _tangent_step(lanes: dict) -> None:
     numpy complex arithmetic rounds differently from CPython's, which is
     harmless here: lambda is only compared with chaos_threshold, never
     emitted.  The Jacobian's pole guard needs no check: the orbit guard
-    already passed every point the tangent visits.
+    already passed every point the tangent visits.  numpy's complex
+    multiply is not commutative bit for bit, so the operands keep their
+    order.
     """
-    z_prev, z, beta = lanes["prev"], lanes["curr"], lanes["b"]
-    denom = 1 + z
-    # a11*w1 + a12*w2 with a11 = -beta*z_prev/denom**2, a12 = beta/denom
-    w1 = beta / denom * (lanes["w2"] - z_prev / denom * lanes["w1"])
-    w2 = lanes["w1"]
-    growth = np.hypot(np.abs(w1), np.abs(w2))
-    lanes["collapsed"] |= growth == 0
+    w1, w2 = lanes["w1"], lanes["w2"]
+    denom = 1 + lanes["curr"]
+    # a11*w1 + a12*w2 with a11 = -beta*z_prev/denom**2, a12 = beta/denom,
+    # into w2's buffer: w2 - z_prev/denom*w1, then beta/denom times that
+    term = np.divide(lanes["prev"], denom)
+    term *= w1
+    np.subtract(w2, term, out=w2)
+    np.divide(lanes["b"], denom, out=denom)
+    np.multiply(denom, w2, out=w2)
+    growth = np.hypot(np.abs(w2), np.abs(w1))
     lanes["log_sum"] += np.log(growth)
-    lanes["w1"], lanes["w2"] = w1 / growth, w2 / growth
+    w2 /= growth
+    w1 /= growth
+    lanes["w1"], lanes["w2"] = w2, w1
 
 
 def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float) -> None:
@@ -533,15 +556,18 @@ def classify_lanes(
     fixes (_retire).  Where classify_orbit's orbit ends, the settled
     windows and the locked cycles leave.
     """
-    lanes = dict(zip(("a", "b", "prev", "curr"), (np.ravel(v) for v in np.broadcast_arrays(
-        *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0))))))
-    count = lanes["a"].size
+    values = [np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0)))]
+    # copies: the part arrays are written in place, and a lane's .real
+    # can be a view of the caller's array
+    lanes = dict(zip(_PARTS, (part.copy() for v in values for part in (v.real, v.imag))))
+    lanes["b"], lanes["prev"], lanes["curr"] = values[1:]  # complex, for the tangent and the rings
+    count = values[0].size
     lanes["id"] = np.arange(count)
     lanes["open"] = np.ones(count, dtype=bool)
     lanes["w1"] = np.ones(count, dtype=complex)  # tangent along (z[n], z[n-1])
     lanes["w2"] = np.zeros(count, dtype=complex)
     lanes["log_sum"] = np.zeros(count)
-    lanes["collapsed"] = np.zeros(count, dtype=bool)
     verdicts = np.full(count, VERDICT_UNDETERMINED, dtype=object)
     n = settings.max_steps + 2  # points of a completed orbit, seed included
     cut = _transient_cut(n, analysis.max_period)
@@ -596,6 +622,8 @@ def classify_lanes(
             if m < last:
                 _advance(lanes, verdicts, settings)
 
-        lam = np.where(lanes["collapsed"], -np.inf, lanes["log_sum"] / ls)
+        # a tangent that collapsed (growth 0, as beta = 0 gives) left log_sum
+        # at -inf, or at nan from the next step on: never above the threshold
+        lam = lanes["log_sum"] / ls
         _decide(lanes, verdicts, {VERDICT_CHAOTIC: lam > analysis.chaos_threshold})
     return verdicts.tolist()

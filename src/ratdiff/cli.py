@@ -330,7 +330,8 @@ def _run_period(spec: RunSpec) -> dict:
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
     if orbit.status != STATUS_COMPLETED:
         raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}; "
-                                         "period detection needs a completed orbit")
+                                         "period detection needs a completed orbit",
+                           orbit.stop_step, orbit.points[orbit.stop_step])
     report = detect_cycle(orbit)
     payload = {"kind": "period", "status": orbit.status, "period": None}
     if report is not None:
@@ -355,9 +356,7 @@ def _run_lyapunov(spec: RunSpec) -> dict:
     return {
         "kind": "lyapunov",
         "seed": (seed.z_minus1, seed.z_0),
-        # JSON has no infinities: -inf (a collapsed tangent vector) goes as a string
-        "lambda_max": (estimate.lambda_max if math.isfinite(estimate.lambda_max)
-                       else repr(estimate.lambda_max)),
+        "lambda_max": estimate.lambda_max,
         "n_transient": estimate.n_transient,
         "n_sample": estimate.n_sample,
         "converged": estimate.converged,
@@ -422,7 +421,8 @@ def _run_identities(spec: RunSpec) -> dict:
     except HypothesisError as exc:
         raise UsageError(f"--beta: {exc}") from None
     except ValueError:  # a singular orbit, or a seed that escaped: no iterate to check
-        raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}") from None
+        raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}",
+                           orbit.stop_step, orbit.points[orbit.stop_step]) from None
     return {
         "kind": "identities",
         "status": orbit.status,

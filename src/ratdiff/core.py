@@ -40,12 +40,18 @@ class GuardTripped(ArithmeticError):
     status is STATUS_SINGULAR (the denominator 1 + z[n] is within
     tolerance of zero, the map pole) or STATUS_ESCAPED (an iterate left
     the escape radius or stopped being finite, or an equilibrium's
-    arithmetic overflowed a double).
+    arithmetic overflowed a double).  step is the index into the orbit's
+    points of the value that tripped the guard, and value is that value
+    (at the pole, the z whose 1 + z vanished); each is None where the
+    guard has no orbit step or no single value.
     """
 
-    def __init__(self, status: str, message: str):
+    def __init__(self, status: str, message: str, step: int | None = None,
+                 value: complex | None = None):
         super().__init__(message)
         self.status = status
+        self.step = step
+        self.value = value
 
 
 def _denominator(z_curr: complex, singular_tol: float) -> complex:
@@ -54,9 +60,11 @@ def _denominator(z_curr: complex, singular_tol: float) -> complex:
     try:
         modulus = abs(denom)
     except OverflowError:  # finite parts, modulus above the largest double
-        raise GuardTripped(STATUS_ESCAPED, f"|1 + z| overflows a double at z = {z_curr!r}") from None
+        raise GuardTripped(STATUS_ESCAPED, f"|1 + z| overflows a double at z = {z_curr!r}",
+                           value=z_curr) from None
     if modulus < singular_tol:
-        raise GuardTripped(STATUS_SINGULAR, f"map pole: |1 + z| = {modulus:.3e} at z = {z_curr!r}")
+        raise GuardTripped(STATUS_SINGULAR, f"map pole: |1 + z| = {modulus:.3e} at z = {z_curr!r}",
+                           value=z_curr)
     return denom
 
 
@@ -213,20 +221,32 @@ def _quot(a_re, a_im, b_re, b_im):
     major = np.where(real_major, b_re, b_im)
     minor = np.where(real_major, b_im, b_re)
     ratio = minor / major
-    denom = major + minor * ratio
-    return (np.where(real_major, a_re + a_im * ratio, a_re * ratio + a_im) / denom,
-            np.where(real_major, a_im - a_re * ratio, a_im * ratio - a_re) / denom)
+    denom = minor * ratio
+    denom += major
+    re_ratio, im_ratio = a_re * ratio, a_im * ratio
+    re = np.where(real_major, a_re + im_ratio, re_ratio + a_im)
+    re /= denom
+    im = np.where(real_major, a_im - re_ratio, im_ratio - a_re)
+    im /= denom
+    return re, im
 
 
-def _lane_step(alpha, beta, z_prev, z_curr, singular_tol, escape_radius):
+def _lane_step(a_re, a_im, b_re, b_im, p_re, p_im, c_re, c_im, singular_tol, escape_radius):
     """One guarded step of many orbits at once, each lane one orbit.
 
-    The arguments are complex128 arrays (or complex scalars) that
-    broadcast against each other; the arithmetic runs on their float64
-    real and imaginary parts.  Returns (z_next, singular, escaped):
-    singular marks lanes whose |1 + z_curr| is below singular_tol (their
-    z_next is meaningless), escaped marks the other lanes whose z_next
-    left the escape radius or is not finite, exactly as iterate() decides.
+    The arguments are the real and imaginary parts of alpha, beta,
+    z_prev and z_curr, float64 arrays of one shape.  Returns (x_re, x_im,
+    singular, escaped): the parts of z_next and two masks.  singular
+    marks lanes whose |1 + z_curr| is below singular_tol (their z_next
+    is meaningless), escaped marks the other lanes whose z_next left the
+    escape radius or is not finite, exactly as iterate() decides.  Both
+    masks are None when no lane trips.
+
+    hypot(u, v) lies between max(|u|, |v|) and sqrt(2) times it, so no
+    lane is singular while every |Re(1 + z_curr)| is at least
+    singular_tol, and none escapes while every part of z_next is at most
+    escape_radius / 2.  Only when some lane fails these bounds (a nan
+    fails both) does the step compute the moduli.
 
     The real formulas repeat CPython's complex product and quotient
     (_prod, _quot) operation by operation, so each lane gets the bits
@@ -234,20 +254,28 @@ def _lane_step(alpha, beta, z_prev, z_curr, singular_tol, escape_radius):
     differently in a large share of cases, which chaotic orbits would
     amplify.  Call under np.errstate(all="ignore").
     """
-    a_re, a_im, b_re, b_im = alpha.real, alpha.imag, beta.real, beta.imag
-    p_re, p_im, c_re, c_im = z_prev.real, z_prev.imag, z_curr.real, z_curr.imag
     # alpha + alpha*z_curr + beta*z_prev, summed left to right
-    ac_re, ac_im = _prod(a_re, a_im, c_re, c_im)
+    n_re, n_im = _prod(a_re, a_im, c_re, c_im)
     bp_re, bp_im = _prod(b_re, b_im, p_re, p_im)
+    n_re += a_re
+    n_re += bp_re
+    n_im += a_im
+    n_im += bp_im
     # 1 + z_curr promotes 1 to 1+0j, so -0.0 imaginary parts become +0.0
     d_re = 1.0 + c_re
     d_im = 0.0 + c_im
-    x_re, x_im = _quot((a_re + ac_re) + bp_re, (a_im + ac_im) + bp_im, d_re, d_im)
+    x_re, x_im = _quot(n_re, n_im, d_re, d_im)
+    # ufunc reductions, as ndarray.min and max add a Python call; the
+    # initial values answer for a batch of no lanes
+    if (np.minimum.reduce(np.abs(d_re), initial=np.inf) >= singular_tol
+            and np.maximum.reduce(np.maximum(np.abs(x_re), np.abs(x_im)),
+                                  initial=0.0) <= escape_radius / 2):
+        return x_re, x_im, None, None
     singular = np.hypot(d_re, d_im) < singular_tol
     escaped = ~(np.hypot(x_re, x_im) <= escape_radius) & ~singular
-    z_next = np.empty(x_re.shape, dtype=complex)
-    z_next.real, z_next.imag = x_re, x_im
-    return z_next, singular, escaped
+    if singular.any() or escaped.any():
+        return x_re, x_im, singular, escaped
+    return x_re, x_im, None, None
 
 
 def tangent(

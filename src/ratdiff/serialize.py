@@ -89,9 +89,12 @@ def _from_literals(value):
 
 def _plain(value):
     """value in JSON types: complex values become their literals (here and
-    nowhere else), rectangles their bound lists, tuples lists."""
+    nowhere else), rectangles their bound lists, tuples lists, and floats
+    that JSON cannot hold their reprs ("inf", "-inf", "nan")."""
     if isinstance(value, complex):
         return format_complex(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):

@@ -147,7 +147,7 @@ def linearization(
     denom = 1 + z
     try:  # abs() raises where finite parts have a modulus above the largest double
         if abs(denom) < singular_tol:
-            raise GuardTripped(STATUS_SINGULAR, f"equilibrium at the map pole: z = {z!r}")
+            raise GuardTripped(STATUS_SINGULAR, f"equilibrium at the map pole: z = {z!r}", value=z)
         return CharCoeffs.of(beta * z / (denom * denom), -beta / denom)
     except OverflowError:
         raise _overflow("the linearization", params) from None

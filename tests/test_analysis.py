@@ -166,6 +166,25 @@ def test_lyapunov_escape_raises():
     assert excinfo.value.status == "escaped"
 
 
+def test_guard_tripped_names_the_orbit_step_and_value():
+    # the orbit escapes at point 48: sampled from the seed, or continued
+    # from a completed 10-step orbit, the guard names that point
+    params, seed = Parameters(40 + 33j, 27 + 77j), OrbitSeed(0.3 - 0.2j, -0.4 + 0.1j)
+    full = iterate(params, seed)
+    short = iterate(params, seed, IterationSettings(max_steps=10))
+    assert (full.status, full.stop_step, short.status) == ("escaped", 48, "completed")
+    for raising in (lambda: lyapunov_max(params, seed),
+                    lambda: ratdiff.analysis._reference_orbit(params, short.points, 500, 5000,
+                                                              IterationSettings())):
+        with pytest.raises(GuardTripped) as info:
+            raising()
+        assert (info.value.step, info.value.value) == (48, full.points[48])
+    # one step has no orbit index; the value is the z at the pole
+    with pytest.raises(GuardTripped) as info:
+        step(Parameters(1, 1), 0.5, -1 + 0j)
+    assert (info.value.step, info.value.value) == (None, -1)
+
+
 def test_divergence_oracle_negative_for_stable():
     p = Parameters(1 + 1j, 1 + 1j)
     z = equilibria(p)[1].z_bar
@@ -375,6 +394,41 @@ def test_lanes_extend_the_orbit_past_the_lyapunov_sample():
     assert verdicts[0] == "unbounded" != verdicts[1]
 
 
+@pytest.mark.parametrize("size", [1, 3])
+def test_lanes_leave_their_arguments_unchanged(size):
+    # the lanes escape at point 48 and sit closed in the arrays until
+    # the end: their working copies change, the caller's arrays must not
+    args = [np.full(size, z) for z in (40 + 33j, 27 + 77j, 0.3 - 0.2j, -0.4 + 0.1j)]
+    before = [a.copy() for a in args]
+    assert classify_lanes(*args, IterationSettings(max_steps=100)) == ["unbounded"] * size
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(args, before))
+
+
+def test_lane_tangent_step_matches_the_plain_expression_bit_for_bit():
+    # _tangent_step reuses its buffers; numpy's complex multiply is not
+    # commutative bit for bit, so it must keep the operand order of the
+    # plain expression
+    rng = np.random.default_rng(5)
+    n = 400
+
+    def draw():
+        return rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+
+    beta, w1, w2 = draw(), draw(), draw()
+    lanes = {"b": beta, "w1": w1.copy(), "w2": w2.copy(), "log_sum": np.zeros(n)}
+    log_sum = np.zeros(n)
+    for _ in range(5):
+        lanes["prev"], lanes["curr"] = z_prev, z = draw(), draw()
+        ratdiff.analysis._tangent_step(lanes)
+        denom = 1 + z
+        w1, w2 = beta / denom * (w2 - z_prev / denom * w1), w1
+        growth = np.hypot(np.abs(w1), np.abs(w2))
+        log_sum += np.log(growth)
+        w1, w2 = w1 / growth, w2 / growth
+    for got, want in ((lanes["w1"], w1), (lanes["w2"], w2), (lanes["log_sum"], log_sum)):
+        assert got.tobytes() == want.tobytes()
+
+
 # --- lanes that leave once their state repeats ------------------------------------
 
 # the bench's mixed grid: alpha and the seed are fixed, beta takes dyadic
@@ -389,9 +443,9 @@ def _lane_and_orbit(monkeypatch, beta, seed, steps, analysis=_QUICK):
     taken = []
     real = ratdiff.analysis._lane_step
 
-    def counting(alpha, *rest):
-        taken.append(alpha.size)
-        return real(alpha, *rest)
+    def counting(a_re, *rest):
+        taken.append(a_re.size)
+        return real(a_re, *rest)
 
     monkeypatch.setattr(ratdiff.analysis, "_lane_step", counting)
     iteration = IterationSettings(max_steps=steps)

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratdiff import (IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
@@ -568,6 +568,39 @@ def test_grid_cli_exits_cleanly_with_strict_output(vary, rect, nx, ny, steps, fm
     argv = ["grid", "--vary", vary, "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
             "--seed=0.1+0.1i,0.2-0.1i", f"--rect={rect}", "--resolution", f"{nx}x{ny}",
             "--steps", str(steps), "--format", fmt]
+    _exits_cleanly_with_strict_output(argv, fmt)
+
+
+def _literal(re, im):
+    return f"{re!r}{'-' if math.copysign(1.0, im) < 0 else '+'}{abs(im)!r}i"
+
+
+_COMPLEX = st.builds(_literal, _BOUND, _BOUND)
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["orbit", "period", "lyapunov", "equilibria", "stability",
+                                "trichotomy", "identities"]),
+       alpha=_COMPLEX, beta=_COMPLEX, seed=st.tuples(_COMPLEX, _COMPLEX),
+       steps=st.integers(1, 600), transient=st.integers(0, 600), sample=st.integers(1, 600),
+       fmt=st.sampled_from(["json", "json", "json", "csv", "svg"]))
+# the alpha + beta - 1 equilibrium's residual is inf, which JSON cannot hold
+@example(command="equilibria", alpha="0.0+0.0i", beta="0.0+1.3407807929942597e+154i",
+         seed=("0.0+0.0i", "0.0+0.0i"), steps=1, transient=0, sample=1, fmt="json")
+def test_other_commands_exit_cleanly_with_strict_output(command, alpha, beta, seed, steps,
+                                                        transient, sample, fmt):
+    # identities takes beta = alpha + 1 when --beta is left out: any
+    # other beta breaks its hypothesis (exit 2).  Only orbit writes CSV
+    # and SVG; the others exit 2 for those formats.
+    argv = [command, f"--alpha={alpha}", "--format", fmt]
+    if command != "identities":
+        argv.append(f"--beta={beta}")
+    if command in ("orbit", "period", "lyapunov", "identities"):
+        argv.append(f"--seed={seed[0]},{seed[1]}")
+    if command == "lyapunov":
+        argv += ["--transient", str(transient), "--sample", str(sample)]
+    elif command in ("orbit", "period", "identities"):
+        argv += ["--steps", str(steps)]
     _exits_cleanly_with_strict_output(argv, fmt)
 
 

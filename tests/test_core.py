@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from ratdiff import (
     step,
     tangent,
 )
-from ratdiff.core import _lane_step
+from ratdiff.core import _lane_step, _within
 
 
 def test_step_zero_parameters():
@@ -157,6 +158,31 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
+def _check_lanes(alpha, beta, z_prev, z_curr, tol, radius):
+    """_lane_step against step() and abs(), lane by lane, by float.hex.
+
+    Returns the (singular, escaped) masks, all False where _lane_step
+    reports that no lane tripped.
+    """
+    lanes = [np.asarray(v, dtype=complex) for v in (alpha, beta, z_prev, z_curr)]
+    parts = [np.ascontiguousarray(part) for z in lanes for part in (z.real, z.imag)]
+    with np.errstate(all="ignore"):
+        x_re, x_im, singular, escaped = _lane_step(*parts, tol, radius)
+    if singular is None:
+        assert escaped is None
+        singular = escaped = np.zeros(x_re.shape, dtype=bool)
+    for i, (a, b, zp, zc) in enumerate(zip(*(z.tolist() for z in lanes))):
+        try:
+            expected = step(Parameters(a, b), zp, zc, tol)
+        except GuardTripped:
+            assert singular[i] and not escaped[i]
+            continue
+        assert not singular[i]
+        assert _bits(complex(x_re[i], x_im[i])) == _bits(expected)
+        assert escaped[i] == (not _within(expected, radius))
+    return singular, escaped
+
+
 def test_lane_step_matches_step_bit_for_bit():
     # the batched grid's orbit kernel must round exactly like CPython's
     # complex arithmetic, signed zeros included, in both Smith branches
@@ -173,20 +199,82 @@ def test_lane_step_matches_step_bit_for_bit():
 
     alpha, beta, z_prev, z_curr = draw(), draw(), draw(), draw()
     z_curr[:50] = -1  # on the pole
-    with np.errstate(all="ignore"):
-        z_next, singular, escaped = _lane_step(alpha, beta, z_prev, z_curr, 1e-12, 50.0)
     real_major = np.abs(1 + z_curr.real) >= np.abs(z_curr.imag)
     assert 0.2 < real_major.mean() < 0.8
-    for i in range(n):
-        try:
-            expected = step(Parameters(alpha[i], beta[i]), complex(z_prev[i]), complex(z_curr[i]))
-        except GuardTripped:
-            assert singular[i] and not escaped[i]
-            continue
-        assert not singular[i]
-        assert _bits(complex(z_next[i])) == _bits(expected)
-        assert escaped[i] == (not abs(expected) <= 50.0)
+    singular, escaped = _check_lanes(alpha, beta, z_prev, z_curr, 1e-12, 50.0)
     assert singular.sum() == 50 and 0 < escaped.sum() < n
+    # lanes that pass the cheap bounds give no masks at all
+    inside = (np.abs(1 + z_curr.real) >= 1e-12) & ~escaped
+    inside &= np.maximum(np.abs(alpha), np.abs(beta)) < 3  # keep z_next within 25 of 0
+    inside &= np.maximum(np.abs(z_prev), np.abs(z_curr)) < 3
+    inside &= np.abs(1 + z_curr) > 1
+    lanes = [np.ascontiguousarray(part) for z in (alpha, beta, z_prev, z_curr)
+             for part in (z.real[inside], z.imag[inside])]
+    with np.errstate(all="ignore"):
+        assert _lane_step(*lanes, 1e-12, 50.0)[2:] == (None, None)
+    assert inside.sum() > 20
+
+
+_TOL = 2.0 ** -40  # 1 + (-1 + _TOL) is _TOL exactly
+_RADIUS = 64.0
+_HUGE = 1.7e308
+
+
+@pytest.mark.parametrize("z_curr, singular", [
+    # the larger part of 1 + z_curr at singular_tol, and just below it
+    (complex(-1 + _TOL, 0.0), False),
+    (complex(-1 - _TOL, -0.0), False),
+    (complex(-1 + _TOL - 2.0 ** -53, 0.0), True),  # the next 1 + x below _TOL
+    (complex(-1.0, _TOL), False),
+    (complex(-1.0, -_TOL), False),
+    (complex(-1.0, math.nextafter(_TOL, 0)), True),
+    (complex(-1.0, -math.nextafter(_TOL, 0)), True),
+    # both parts below singular_tol, the modulus above it: only hypot decides
+    (complex(-1 + 0.75 * _TOL, 0.75 * _TOL), False),
+    (complex(-1 + 0.5 * _TOL, 0.5 * _TOL), True),
+    (complex(-1.0, 0.0), True),
+])
+def test_lane_step_singular_guard_at_its_edge(z_curr, singular):
+    # z_prev = 0 keeps z_next near alpha, well inside the escape bound, so
+    # that the pole bound alone decides whether the moduli are computed
+    lanes = (0.5 + 0.25j, 0.75 - 0.5j, 0j, z_curr)
+    got, _ = _check_lanes(*([v] for v in lanes), _TOL, _RADIUS)
+    assert got.tolist() == [singular]
+
+
+# with beta = 0 and z_curr = 0, z_next is alpha bit for bit
+@pytest.mark.parametrize("z_next, escaped", [
+    (complex(_RADIUS / 2, 0.0), False),
+    (complex(-0.0, -_RADIUS / 2), False),
+    (complex(math.nextafter(_RADIUS / 2, math.inf), 1.0), False),
+    (complex(_RADIUS / 2, _RADIUS / 2), False),
+    (complex(0.7 * _RADIUS, -0.7 * _RADIUS), False),  # fails the bound, inside
+    (complex(0.75 * _RADIUS, 0.75 * _RADIUS), True),
+    (complex(_RADIUS, 0.0), False),  # on the escape circle is inside
+    (complex(0.0, -_RADIUS), False),
+    (complex(math.nextafter(_RADIUS, math.inf), 0.0), True),
+    (complex(0.0, math.nextafter(-_RADIUS, -math.inf)), True),
+    (complex(_HUGE, _HUGE), True),  # finite parts, the modulus overflows
+    (complex(-_HUGE, 1.0), True),
+])
+def test_lane_step_escape_guard_at_its_edge(z_next, escaped):
+    _, got = _check_lanes([z_next], [0j], [0.5 - 0.5j], [0j], _TOL, _RADIUS)
+    assert got.tolist() == [escaped]
+
+
+def test_lane_step_edges_together():
+    # every edge in one batch, next to ordinary lanes, and parts whose sum
+    # or quotient leaves the doubles
+    z_curr = [complex(-1 + _TOL, 0.0), complex(-1.0, math.nextafter(_TOL, 0)),
+              complex(-1 + 0.75 * _TOL, 0.75 * _TOL), 0j, 0j, 0j, 1 + 0j, 3j, 0.5 - 0.25j]
+    alpha = [0.5 + 0.25j] * 3 + [complex(_RADIUS, 0.0), complex(_HUGE, _HUGE),
+                                 complex(0.7 * _RADIUS, 0.7 * _RADIUS), complex(_HUGE, 0.0),
+                                 1e308j, 0.1 + 0.2j]
+    beta = [0.75 - 0.5j] * 3 + [0j] * 4 + [1e308 + 0j, 0.3 - 0.1j]
+    z_prev = [0j] * 7 + [2 + 0j, -0.2 + 0.4j]
+    singular, escaped = _check_lanes(alpha, beta, z_prev, z_curr, _TOL, _RADIUS)
+    assert singular.tolist() == [False, True] + [False] * 7
+    assert escaped.tolist() == [False] * 4 + [True, False, True, True, False]
 
 
 def test_tangent_zero_beta():
