@@ -23,6 +23,7 @@ from .core import (
     STATUS_COMPLETED,
     STATUS_ESCAPED,
     STATUS_SINGULAR,
+    _guard_block,
     _lane_step,
     iterate,
     step,
@@ -57,13 +58,20 @@ VERDICT_UNDETERMINED = "undetermined"
 
 _GUARD_VERDICTS = {STATUS_SINGULAR: VERDICT_SINGULAR, STATUS_ESCAPED: VERDICT_UNBOUNDED}
 
-# classify_lanes compares each lane's state with its last _HISTORY states
-# every _CHECK steps (_retire)
+# classify_lanes steps its lanes in blocks that end at every multiple of
+# _CHECK, runs the guards and the tangent once per block, and at each
+# multiple of _CHECK compares each lane's state with its last _HISTORY
+# states (_retire)
 _HISTORY = 24
 _CHECK = 32
 
-# the lanes' float64 parts of alpha, beta, z[m-1] and z[m], as _lane_step takes them
-_PARTS = ("a_re", "a_im", "b_re", "b_im", "p_re", "p_im", "c_re", "c_im")
+# what a closed lane's zeros replace: the parts of (beta, alpha) and of
+# the ring of points, and beta for the tangent
+_ZEROED = ("ba_re", "ba_im", "re", "im", "b")
+
+# _tangent_block renormalises before a step that could take the tangent's
+# growth since the last renormalisation past this factor, up or down
+_GROWTH_LIMIT = 2.0 ** 900
 
 
 @dataclass(frozen=True)
@@ -351,9 +359,9 @@ def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray],
     """Record the verdict of each open masked lane and close it.
 
     Closed lanes leave the working arrays once they make up more than
-    `slack` of them.  The per-step guard checks allow a quarter: dropping
-    a few lanes at every step reallocates every array each time and
-    fragments the heap, which showed as peak memory.
+    `slack` of them.  The guard and retirement checks allow a quarter:
+    dropping a few lanes at every check reallocates every array each time
+    and fragments the heap, which showed as peak memory.
     """
     is_open = lanes["open"]
     done = functools.reduce(np.logical_or, masks.values()) & is_open
@@ -362,29 +370,74 @@ def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray],
             verdicts[lanes["id"][mask & is_open]] = verdict
         is_open &= ~done
         # a closed lane steps on at z = 0 with alpha = beta = 0, a fixed
-        # point, so that _lane_step's bounds still decide every lane
-        for key in _PARTS:
-            lanes[key][done] = 0.0
+        # point that passes every guard bound and stays out of the
+        # tangent's growth bounds
+        for key in _ZEROED:
+            lanes[key][..., done] = 0
     if np.count_nonzero(is_open) < (1 - slack) * is_open.size:
         _keep(lanes, is_open)
 
 
-def _advance(lanes: dict, verdicts: np.ndarray, settings: IterationSettings) -> None:
-    """Step every lane once, closing the lanes that trip a guard with its verdict."""
-    x_re, x_im, singular, escaped = _lane_step(*(lanes[key] for key in _PARTS),
-                                               settings.singular_tol, settings.escape_radius)
-    lanes["p_re"], lanes["p_im"], lanes["c_re"], lanes["c_im"] = (
-        lanes["c_re"], lanes["c_im"], x_re, x_im)
-    curr = np.empty(x_re.size, dtype=complex)
-    curr.real, curr.imag = x_re, x_im
-    lanes["prev"], lanes["curr"] = lanes["curr"], curr
-    if singular is not None:
-        _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped},
-                slack=0.25)
+def _walk(lanes: dict, steps: int) -> None:
+    """Step every lane `steps` times from the ring's rows 0 and 1, writing
+    each new point once into the ring's next row."""
+    re, im, ba_re, ba_im = (lanes[key] for key in ("re", "im", "ba_re", "ba_im"))
+    for r in range(1, steps + 1):  # rows r - 1 and r hold (z[m-1], z[m])
+        re[r + 1], im[r + 1] = _lane_step(ba_re, ba_im, re[r - 1:r + 1], im[r - 1:r + 1])
 
 
-def _tangent_step(lanes: dict) -> None:
-    """lyapunov_max's renormalized tangent step at (prev, curr), on every lane.
+def _complex(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The complex array with parts re and im, written into out if given."""
+    if out is None:
+        out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _renormalise_after(beta: np.ndarray, z_re: np.ndarray, z_im: np.ndarray) -> set[int]:
+    """The steps after which _tangent_block renormalises the tangent.
+
+    z_re, z_im hold the parts of the points z[j0 - 1], ..., z[j1] (rows)
+    of every lane, for the steps j0, ..., j1.  In the max norm, step j
+    multiplies w by at most max(1, |s|*(1 + |q|)) and, as its inverse maps
+    (w1, w2) to (w2, w1/s + q*w2), divides it by at most
+    max(1, 1/|s| + |q|).  Over the lanes, with d = 1 + z[j] and d_prev =
+    1 + z[j-1], |s| <= max|beta| / min|d|, 1/|s| <= max|d| / min|beta| and
+    |q| <= (1 + max|d_prev|) / min|d|.  The last step renormalises, and
+    so does each step after which the product of these bounds since the
+    last renormalisation would pass _GROWTH_LIMIT.  Lanes with beta = 0
+    stay out of min|beta|: their tangent is 0 after two steps at any
+    scale.  A square of |d| that overflows or underflows only makes a
+    bound infinite, which renormalises at every step.
+    """
+    b_abs = np.abs(beta)
+    b_max = np.maximum.reduce(b_abs, initial=0.0)
+    b_min = np.minimum.reduce(b_abs, where=b_abs > 0, initial=np.inf)
+    d_sq = 1.0 + z_re
+    d_sq *= d_sq
+    d_sq += z_im * z_im
+    d_min = np.sqrt(np.minimum.reduce(d_sq[1:], axis=1, initial=np.inf))
+    d_max = np.sqrt(np.maximum.reduce(d_sq, axis=1, initial=0.0))
+    q = (1 + d_max[:-1]) / d_min
+    bounds = np.maximum(b_max / d_min * (1 + q), d_max[1:] / b_min + q)
+    after, growth = {bounds.size - 1}, 1.0
+    for k, bound in enumerate(bounds.tolist()):
+        if k and not growth * bound <= _GROWTH_LIMIT:  # a nan bound renormalises too
+            after.add(k - 1)
+            growth = 1.0
+        growth *= max(bound, 1.0)
+    return after
+
+
+def _tangent_block(lanes: dict, z_re: np.ndarray, z_im: np.ndarray) -> None:
+    """lyapunov_max's tangent steps along a block of points, on every lane.
+
+    z_re, z_im hold the parts of the points z[j0 - 1], ..., z[j1] (rows)
+    of each lane.  Step j takes the tangent w = (w1, w2) along (z[j],
+    z[j-1]) to (s*(w2 - q*w1), w1), with d = 1 + z[j], q = z[j-1]/d and
+    s = beta/d: the Jacobian's a11 = -s*q and a12 = s.  The log of w's
+    growth is added to log_sum, and w renormalised, after the steps
+    _renormalise_after picks.
 
     numpy complex arithmetic rounds differently from CPython's, which is
     harmless here: lambda is only compared with chaos_threshold, never
@@ -393,24 +446,32 @@ def _tangent_step(lanes: dict) -> None:
     multiply is not commutative bit for bit, so the operands keep their
     order.
     """
-    w1, w2 = lanes["w1"], lanes["w2"]
-    denom = 1 + lanes["curr"]
-    # a11*w1 + a12*w2 with a11 = -beta*z_prev/denom**2, a12 = beta/denom,
-    # into w2's buffer: w2 - z_prev/denom*w1, then beta/denom times that
-    term = np.divide(lanes["prev"], denom)
-    term *= w1
-    np.subtract(w2, term, out=w2)
-    np.divide(lanes["b"], denom, out=denom)
-    np.multiply(denom, w2, out=w2)
-    growth = np.hypot(np.abs(w2), np.abs(w1))
-    lanes["log_sum"] += np.log(growth)
-    w2 /= growth
-    w1 /= growth
-    lanes["w1"], lanes["w2"] = w2, w1
+    after = _renormalise_after(lanes["b"], z_re, z_im)
+    d = np.empty(z_re[1:].shape, dtype=complex)  # 1 + z[j], as numpy's complex sum rounds it
+    np.add(1.0, z_re[1:], out=d.real)
+    np.add(0.0, z_im[1:], out=d.imag)
+    s = lanes["b"] / d  # numpy buffers the broadcast beta: before q, for the peak memory
+    q = _complex(z_re[:-1], z_im[:-1])
+    np.divide(q, d, out=q)
+    del d
+    w1, w2, log_sum = lanes["w1"], lanes["w2"], lanes["log_sum"]
+    term = np.empty_like(w1)
+    for k, (q_k, s_k) in enumerate(zip(q, s)):
+        np.multiply(q_k, w1, out=term)
+        np.subtract(w2, term, out=w2)
+        np.multiply(s_k, w2, out=w2)
+        w1, w2 = w2, w1
+        if k in after:
+            growth = np.hypot(np.abs(w1), np.abs(w2))
+            log_sum += np.log(growth)
+            for w in (w1, w2):  # real divisions of both parts
+                parts = w.view(float).reshape(-1, 2)
+                parts /= growth[:, None]
+    lanes["w1"], lanes["w2"] = w1, w2
 
 
-def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float) -> None:
-    """detect_cycle's test at point m (lanes["curr"]) of the tail points[cut:].
+def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol: float) -> None:
+    """detect_cycle's test at point m (z, over every lane) of the tail points[cut:].
 
     lanes["cycle"] holds the lanes still under test.  Its ring keeps
     their last `periods` points, point k in row k % periods, and a
@@ -419,7 +480,7 @@ def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float) -> None
     lane leaves the test with its last pair or when it closes.
     """
     cycle = lanes["cycle"]
-    z, ring, pairs = lanes["curr"][cycle["pos"]], cycle["ring"], cycle["pairs"]
+    z, ring, pairs = z[cycle["pos"]], cycle["ring"], cycle["pairs"]
     period, lane = pairs["period"], pairs["pos"]
     if 1 <= m - cut <= periods:  # period m - cut meets its first pair
         period = np.concatenate((period, np.full(z.size, m - cut)))
@@ -446,21 +507,20 @@ def _bits(ring: np.ndarray) -> np.ndarray:
     return ring.view(np.int64).reshape(*ring.shape, 2)
 
 
-def _history_repeats(hist: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(columns, periods) of the lanes whose state at m repeats within hist.
+def _history_repeats(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, periods) of the lanes whose last state repeats within re, im.
 
-    hist holds points[m - rows + 1 .. m], point k in row k % rows; a
-    lane's period is the smallest P with (points[m - 1 - P], points[m - P])
-    equal to (points[m - 1], points[m]).
+    re, im hold the parts of points[m - rows + 1 .. m] in their rows, in
+    order; a lane's period is the smallest P with (points[m - 1 - P],
+    points[m - P]) equal bit for bit to (points[m - 1], points[m]).
+    Comparing bits keeps 0.0 and -0.0 apart, as the map's arithmetic may.
     """
-    rows = hist.shape[0]
-    bits = _bits(hist)
-    equal = []  # equal[i][r, lane]: row r holds points[m - i]
-    for k in (m, m - 1):
-        parts = bits == bits[k % rows]
-        equal.append(parts[..., 0] & parts[..., 1])
-    shift = np.arange(1, min(rows - 2, m - 1) + 1)
-    same = equal[0][(m - shift) % rows] & equal[1][(m - 1 - shift) % rows]
+    rows = re.shape[0]
+    same = True  # same[P - 1, lane]
+    for part in (re, im):
+        bits = part.view(np.int64)
+        # rows rows - 1 - P and rows - 2 - P hold points[m - P] and points[m - 1 - P]
+        same = same & (bits[rows - 2:0:-1] == bits[-1]) & (bits[rows - 3::-1] == bits[-2])
     cols = np.flatnonzero(same.any(axis=0))
     return cols, same[:, cols].argmax(axis=0) + 1
 
@@ -485,7 +545,7 @@ def _pair_repeats(cycle: dict, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
-            window: range | None, analysis: AnalysisSettings) -> None:
+            window: range | None, analysis: AnalysisSettings, row: int) -> None:
     """Close the lanes whose state at point m repeats bit for bit.
 
     When (points[m - 1], points[m]) equals (points[m - 1 - P],
@@ -494,16 +554,19 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
     when classify_orbit's window lies at or after s and settles, rebuilt
     from the cycle.  Otherwise it is periodic when detect_cycle's test
     passes with distance 0 for the rest of the tail: before the cut (the
-    repeat is found in lanes["hist"], the last _HISTORY + 2 points), when
-    P is a period the test tries; after it, when the lane still holds the
-    pair of period P (found in the cycle test's ring).  Any other lane
-    stays.
+    repeat is found among the last _HISTORY + 2 points, in the ring's
+    rows up to m + row), when P is a period the test tries; after it,
+    when the lane still holds the pair of period P (found in the cycle
+    test's ring).  Any other lane stays.
     """
-    if "hist" in lanes:  # m < cut, so the cycle starts within the cut
-        ring = lanes["hist"]
-        cols, period = _history_repeats(ring, m)
+    if m < cut:  # the cycle starts within the cut
+        rows = slice(m - _HISTORY - 1 + row, m + 1 + row)
+        cols, period = _history_repeats(lanes["re"][rows], lanes["im"][rows])
         pos = cols
         cycled = (period <= periods) & (0 <= analysis.cycle_tol)
+
+        def points(k, col):  # point k of the lanes in columns col
+            return _complex(lanes["re"][k + row, col], lanes["im"][k + row, col])
     elif "cycle" in lanes and m - cut >= periods:
         # only now does the ring hold just the lanes with a pair, so that
         # dropping lanes copies little of it
@@ -511,6 +574,9 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
         cols, period = _pair_repeats(lanes["cycle"], m)
         pos = lanes["cycle"]["pos"][cols]
         cycled = np.ones(cols.size, dtype=bool)
+
+        def points(k, col):
+            return ring[k % ring.shape[0], col]
     else:
         return
     is_open = lanes["open"][pos]  # closed lanes wait in the arrays until they are dropped
@@ -521,7 +587,7 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
         known = np.flatnonzero(onset <= window.start)
         # window point k is points[s + (k - s) % P], rebuilt lane by lane
         s, p = onset[known, None], period[known, None]
-        tails = ring[(s + (np.array(window) - s) % p) % ring.shape[0], cols[known, None]]
+        tails = points(s + (np.array(window) - s) % p, cols[known, None])
         settled[known] = [_settled_mean(tail, analysis.convergence_tol) is not None
                           for tail in tails]
         cycled &= onset <= window.start
@@ -548,26 +614,32 @@ def classify_lanes(
 
     Each arithmetic step is one numpy operation over every undecided
     lane, and no lane's orbit is stored whole.  One loop steps every
-    lane once per point: settings.max_steps steps, or on to the end of
-    the Lyapunov reference orbit when that is longer, with the tangent
-    estimate alongside and, from the transient cut on, detect_cycle's
-    test.  Lanes leave at a guard trip, and every _CHECK steps those
-    whose state repeats bit for bit leave with the verdict the repeat
-    fixes (_retire).  Where classify_orbit's orbit ends, the settled
-    windows and the locked cycles leave.
+    lane, settings.max_steps steps or on to the end of the Lyapunov
+    reference orbit when that is longer, in blocks that end at every
+    multiple of _CHECK, at the transient cut, where classify_orbit's
+    orbit ends and at the last point.  Per point, the map step only
+    writes the new point into a ring that holds the block and the two
+    points before it.  At each block end, the guards close the lanes
+    that tripped within the block; the tangent estimate and, from the
+    cut on, detect_cycle's test run along the block's points; and at a
+    multiple of _CHECK the lanes whose state repeats bit for bit leave
+    with the verdict the repeat fixes (_retire).  Where classify_orbit's
+    orbit ends, the settled windows and the locked cycles leave.
     """
     values = [np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0)))]
-    # copies: the part arrays are written in place, and a lane's .real
-    # can be a view of the caller's array
-    lanes = dict(zip(_PARTS, (part.copy() for v in values for part in (v.real, v.imag))))
-    lanes["b"], lanes["prev"], lanes["curr"] = values[1:]  # complex, for the tangent and the rings
     count = values[0].size
-    lanes["id"] = np.arange(count)
-    lanes["open"] = np.ones(count, dtype=bool)
-    lanes["w1"] = np.ones(count, dtype=complex)  # tangent along (z[n], z[n-1])
-    lanes["w2"] = np.zeros(count, dtype=complex)
-    lanes["log_sum"] = np.zeros(count)
+    # the working arrays are copies, lane axis last: the parts of (beta,
+    # alpha) in rows, as _lane_step takes them, and the ring of points,
+    # whose row i is point m0 - 1 + i while the block after point m0 runs
+    lanes = {"ba_re": np.stack((values[1].real, values[0].real)),
+             "ba_im": np.stack((values[1].imag, values[0].imag)),
+             "re": np.zeros((_CHECK + 2, count)), "im": np.zeros((_CHECK + 2, count)),
+             "b": values[1].copy(), "id": np.arange(count), "open": np.ones(count, dtype=bool),
+             "w1": np.ones(count, dtype=complex),  # tangent along (z[n], z[n-1])
+             "w2": np.zeros(count, dtype=complex), "log_sum": np.zeros(count)}
+    lanes["re"][:2] = values[2].real, values[3].real
+    lanes["im"][:2] = values[2].imag, values[3].imag
     verdicts = np.full(count, VERDICT_UNDETERMINED, dtype=object)
     n = settings.max_steps + 2  # points of a completed orbit, seed included
     cut = _transient_cut(n, analysis.max_period)
@@ -575,39 +647,50 @@ def classify_lanes(
     lt, ls = analysis.lyapunov_transient, analysis.lyapunov_sample
     last = max(n - 1, lt + ls + 1)  # lyapunov_max's reference orbit holds points[:lt + ls + 2]
     window = range(n)[-analysis.window:] if n >= analysis.window else None
-    esc = settings.escape_radius
+    tol, esc = settings.singular_tol, settings.escape_radius
 
     with np.errstate(all="ignore"):
-        outside = [~(np.hypot(z.real, z.imag) <= esc) for z in (lanes["prev"], lanes["curr"])]
+        outside = [~(np.hypot(z.real, z.imag) <= esc) for z in values[2:]]
         _decide(lanes, verdicts, {VERDICT_UNBOUNDED: outside[0] | outside[1]})
-        lanes["hist"] = np.empty((_HISTORY + 2, lanes["id"].size), dtype=complex)
-        lanes["hist"][0] = lanes["prev"]
-        for m in range(1, last + 1):  # lanes["curr"] is points[m]
+        m0, first = 1, 0  # the block steps on from point m0; its end reads from point first
+        for m1 in sorted({*range(_CHECK, last + 1, _CHECK), cut, n - 1, last}):
             if not lanes["id"].size:
                 return verdicts.tolist()
-            if m == cut:  # the cycle test's ring takes over from the history
-                del lanes["hist"]
-                if periods >= 1:
-                    pos = np.flatnonzero(lanes["open"])
-                    lanes["cycle"] = {"pos": pos,
-                                      "ring": np.empty((periods, pos.size), dtype=complex),
-                                      "pairs": {"pos": np.empty(0, dtype=np.intp),
-                                                "period": np.empty(0, dtype=np.intp)}}
-            if "hist" in lanes:
-                lanes["hist"][m % (_HISTORY + 2)] = lanes["curr"]
-            if "cycle" in lanes:
-                _cycle_step(lanes, m, cut, periods, analysis.cycle_tol)
-            if window and m in window:
+            size = m1 - m0
+            _walk(lanes, size)
+            singular, escaped = _guard_block(lanes["re"][1:size + 2], lanes["im"][1:size + 2],
+                                             tol, esc)
+            if singular is not None:
+                _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped},
+                        slack=0.25)
+                if not lanes["id"].size:
+                    return verdicts.tolist()
+            row = 1 - m0  # point j is in ring row j + row
+            lo, hi = max(first, lt + 1, 1), min(m1, lt + ls)
+            if lo <= hi:  # the tangent steps lo..hi read points lo - 1..hi
+                _tangent_block(lanes, lanes["re"][lo - 1 + row:hi + 1 + row],
+                               lanes["im"][lo - 1 + row:hi + 1 + row])
+            if m1 == cut and periods >= 1:  # the cycle test starts at the cut
+                pos = np.flatnonzero(lanes["open"])
+                lanes["cycle"] = {"pos": pos,
+                                  "ring": np.empty((periods, pos.size), dtype=complex),
+                                  "pairs": {"pos": np.empty(0, dtype=np.intp),
+                                            "period": np.empty(0, dtype=np.intp)}}
+            for j in range(max(first, cut), m1 + 1):
+                if "cycle" not in lanes:
+                    break
+                _cycle_step(lanes, _complex(lanes["re"][j + row], lanes["im"][j + row]), j, cut,
+                            periods, analysis.cycle_tol)
+            if window and window.start <= m1 < n:  # n - 1 ends a block
+                lo = max(first, window.start)
                 if "tail" not in lanes:
                     lanes["tail"] = np.empty((len(window), lanes["id"].size), dtype=complex)
-                    if window.start == 0:
-                        lanes["tail"][0] = lanes["prev"]
-                lanes["tail"][m - window.start] = lanes["curr"]
-            if lt < m <= lt + ls:
-                _tangent_step(lanes)
-            if m % _CHECK == 0 and m < n - 1:
-                _retire(lanes, verdicts, m, cut, periods, window, analysis)
-            if m == n - 1:  # the orbit classify_orbit iterates is complete
+                rows = slice(lo + row, m1 + row + 1)
+                _complex(lanes["re"][rows], lanes["im"][rows],
+                         lanes["tail"][lo - window.start:m1 - window.start + 1])
+            if m1 % _CHECK == 0 and m1 < n - 1:
+                _retire(lanes, verdicts, m1, cut, periods, window, analysis, row)
+            if m1 == n - 1:  # the orbit classify_orbit iterates is complete
                 if window is not None:
                     settled = [_settled_mean(np.ascontiguousarray(col), analysis.convergence_tol)
                                is not None for col in lanes.pop("tail").T]
@@ -619,11 +702,13 @@ def classify_lanes(
                     _decide(lanes, verdicts, {VERDICT_PERIODIC: periodic})
                 if (lt < 0 or ls < 1) and lanes["id"].size:
                     raise ValueError("need n_transient >= 0 and n_sample >= 1")
-            if m < last:
-                _advance(lanes, verdicts, settings)
+            for key in ("re", "im"):  # the block's last two points start the next
+                lanes[key][:2] = lanes[key][size:size + 2]
+            m0, first = m1, m1 + 1
 
         # a tangent that collapsed (growth 0, as beta = 0 gives) left log_sum
-        # at -inf, or at nan from the next step on: never above the threshold
+        # at -inf, or at nan from the next renormalisation on: never above
+        # the threshold
         lam = lanes["log_sum"] / ls
         _decide(lanes, verdicts, {VERDICT_CHAOTIC: lam > analysis.chaos_threshold})
     return verdicts.tolist()

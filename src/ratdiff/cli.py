@@ -126,6 +126,7 @@ _FLAGS = {
     "rng-seed": (_nonnegative_int, None),
 }
 _SHARED_FLAGS = ("alpha", "beta", "out", "format", "rng-seed")
+_VALUE_FLAGS = {*_FLAGS, "config"}  # every flag takes a value
 _COMMANDS = {
     "orbit": ("iterate the map and record the trajectory", ("seed", "steps")),
     "equilibria": ("fixed points of the map", ()),
@@ -196,9 +197,26 @@ def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
         setattr(args, dest, value)
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each flag's value word that starts with '-' attached as --flag=value.
+
+    argparse takes such a word for a flag unless it is a plain negative
+    number, so -0.5+1i, -0.1,0.2 or -1,1,-1,1 after a flag would leave the
+    flag without its value.  A word that starts with '--' stays a flag.
+    """
+    words: list[str] = []
+    for word in argv:
+        if (words and words[-1][2:] in _VALUE_FLAGS and words[-1].startswith("--")
+                and word.startswith("-") and not word.startswith("--")):
+            words[-1] = f"{words[-1]}={word}"
+        else:
+            words.append(word)
+    return words
+
+
 def parse_args(argv: list[str]) -> RunSpec:
     """Build a RunSpec from argv; config-file values fill unset flags."""
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_values(argv))
     if args.config:
         _apply_config(args, _read_config(args.config))
 

@@ -61,12 +61,6 @@ class ComplexRect:
     def im_span(self) -> float:
         return self.im_max - self.im_min
 
-    def clip(self, z: complex) -> complex:
-        return complex(
-            min(max(z.real, self.re_min), self.re_max),
-            min(max(z.imag, self.im_min), self.im_max),
-        )
-
     def center(self, ix: int, iy: int, nx: int, ny: int) -> complex:
         return complex(
             self.re_min + (ix + 0.5) * self.re_span / nx,

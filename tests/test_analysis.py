@@ -405,28 +405,160 @@ def test_lanes_leave_their_arguments_unchanged(size):
 
 
 def test_lane_tangent_step_matches_the_plain_expression_bit_for_bit():
-    # _tangent_step reuses its buffers; numpy's complex multiply is not
+    # _tangent_block reuses its buffers; numpy's complex multiply is not
     # commutative bit for bit, so it must keep the operand order of the
-    # plain expression
+    # plain expression, and it renormalises by real divisions of the parts
     rng = np.random.default_rng(5)
     n = 400
 
-    def draw():
-        return rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+    def draw(*rows):
+        return rng.uniform(-2, 2, (*rows, n)) + 1j * rng.uniform(-2, 2, (*rows, n))
 
     beta, w1, w2 = draw(), draw(), draw()
     lanes = {"b": beta, "w1": w1.copy(), "w2": w2.copy(), "log_sum": np.zeros(n)}
     log_sum = np.zeros(n)
-    for _ in range(5):
-        lanes["prev"], lanes["curr"] = z_prev, z = draw(), draw()
-        ratdiff.analysis._tangent_step(lanes)
-        denom = 1 + z
-        w1, w2 = beta / denom * (w2 - z_prev / denom * w1), w1
+    steps = ratdiff.analysis._CHECK
+    for _ in range(3):
+        z = draw(steps + 1)
+        z_re, z_im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+        # these bounds let the whole block run before it renormalises
+        assert ratdiff.analysis._renormalise_after(beta, z_re, z_im) == {steps - 1}
+        ratdiff.analysis._tangent_block(lanes, z_re, z_im)
+        for z_prev, z_curr in zip(z[:-1], z[1:]):
+            d = 1 + z_curr
+            w1, w2 = beta / d * (w2 - z_prev / d * w1), w1
         growth = np.hypot(np.abs(w1), np.abs(w2))
         log_sum += np.log(growth)
-        w1, w2 = w1 / growth, w2 / growth
+        for w in (w1, w2):
+            w.real, w.imag = w.real / growth, w.imag / growth
     for got, want in ((lanes["w1"], w1), (lanes["w2"], w2), (lanes["log_sum"], log_sum)):
         assert got.tobytes() == want.tobytes()
+
+
+# --- block edges ---------------------------------------------------------------------
+
+# the chaotic pair; 100 steps put the cut at point 51 and the end of
+# classify_orbit's orbit at 101, and the reference orbit runs on to 121,
+# so classify_lanes' blocks end at points 32, 51, 64, 96, 101 and 121
+_CHAOS, _CHAOS_SEED = Parameters(0.2278 + 0.321j, 0.82956 + 0.8221j), OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j)
+_EDGES = AnalysisSettings(lyapunov_transient=20, lyapunov_sample=100)
+
+
+def _lane_steps(monkeypatch, params, seed, iteration, analysis):
+    """(classify_lanes' verdict, classify_orbit's verdict, steps the lane took)."""
+    taken = []
+    real = ratdiff.analysis._lane_step
+
+    def counting(ba_re, *rest):
+        taken.append(ba_re.shape[-1])
+        return real(ba_re, *rest)
+
+    monkeypatch.setattr(ratdiff.analysis, "_lane_step", counting)
+    [verdict] = classify_lanes(params.alpha, params.beta, seed.z_minus1, seed.z_0, iteration,
+                               analysis)
+    return verdict, classify_orbit(params, seed, iteration, analysis).verdict, sum(taken)
+
+
+@pytest.mark.parametrize("shift, escape_at, pole_at, sample, stop, taken", [
+    (203, 32, None, 100, 32, 31),  # an escape at the last point of a block
+    (202, 33, None, 100, 33, 50),  # at the first point of a block
+    (522, None, 31, 100, 31, 31),  # the pole, tested on a block's last step
+    (521, None, 32, 100, 32, 50),  # on a block's first step
+    (699, 51, None, 100, 51, 50),  # at the transient cut
+    (698, 52, None, 100, 52, 63),
+    (283, None, 51, 100, 51, 63),
+    (649, 101, None, 100, 101, 100),  # at the end of classify_orbit's orbit
+    (649, 101, None, 50, 101, 100),  # where the reference orbit ends too
+    (78, None, 100, 100, 100, 100),
+    (77, None, 101, 100, 101, 120),  # tested in the Lyapunov continuation
+    (640, 110, None, 100, 110, 120),  # inside the continuation
+    (35, None, 115, 100, 115, 120),
+    (4, 121, None, 100, 121, 120),  # at its last point
+    (138, 41, 40, 100, 40, 50),  # the pole, then an escape at the next point
+    (85, 55, 63, 100, 55, 63),  # an escape, then the pole in the same block
+])
+def test_lanes_trip_guards_at_block_edges(monkeypatch, shift, escape_at, pole_at, sample, stop,
+                                          taken):
+    # the chaotic orbit from point `shift` on, with the escape radius and
+    # the pole tolerance set so that its first escape is at point escape_at
+    # and its first pole at point pole_at (a lone trip is the only one up
+    # to point 121); the lane leaves at the end of the block that holds
+    # the first trip, with classify_orbit's verdict
+    points = iterate(_CHAOS, _CHAOS_SEED, IterationSettings(max_steps=900)).points[shift:]
+    seed = OrbitSeed(*points[:2])
+    escape_radius = max(map(abs, points[:escape_at])) if escape_at else 1e6
+    singular_tol = min(abs(1 + z) for z in points[1:pole_at]) if pole_at else 1e-12
+    iteration = IterationSettings(100, escape_radius, singular_tol)
+    analysis = replace(_EDGES, lyapunov_sample=sample)
+    reference = iterate(_CHAOS, seed, replace(iteration, max_steps=120))
+    status = "singular" if stop == pole_at else "escaped"
+    assert (reference.status, reference.stop_step) == (status, stop)
+    if pole_at is None:  # a lone escape
+        assert all(abs(z) <= escape_radius for z in points[stop + 1:122])
+    if escape_at is None:  # a lone pole
+        assert all(abs(1 + z) >= singular_tol for z in points[stop + 1:121])
+    verdict = "singular" if status == "singular" else "unbounded"
+    assert _lane_steps(monkeypatch, _CHAOS, seed, iteration, analysis) == (verdict, verdict, taken)
+
+
+def test_lanes_close_an_escape_before_its_garbage_repeats(monkeypatch):
+    # the lane escapes to inf at point 2, and from point 3 on its state is
+    # nan bit for bit: the guards close it before the check at point 32
+    # could take the repeat for a cycle
+    params, seed = Parameters(1e308, 1e308), OrbitSeed(1, 1)
+    assert iterate(params, seed).stop_step == 2
+    assert _lane_steps(monkeypatch, params, seed, IterationSettings(max_steps=100), _EDGES) == (
+        "unbounded", "unbounded", 31)
+
+
+def _lanes_agree_on_the_exponent(params, seed, steps, transient, sample):
+    # with no limit and no cycle to find, the verdict turns on the tangent
+    # exponent alone: a chaos threshold a relative 1e-9 below it and one
+    # above it part classify_orbit's verdicts, and the lanes must follow
+    lam = lyapunov_max(params, seed, transient, sample).lambda_max
+    iteration = IterationSettings(max_steps=steps)
+    for threshold, verdict in ((lam - 1e-9 * abs(lam), "chaotic"),
+                               (lam + 1e-9 * abs(lam), "undetermined")):
+        analysis = AnalysisSettings(convergence_tol=-1.0, cycle_tol=-1.0, chaos_threshold=threshold,
+                                    lyapunov_transient=transient, lyapunov_sample=sample)
+        assert classify_orbit(params, seed, iteration, analysis).verdict == verdict
+        assert classify_lanes(params.alpha, params.beta, seed.z_minus1, seed.z_0, iteration,
+                              analysis) == [verdict]
+
+
+def test_lane_tangent_near_the_pole():
+    # |1 + z[0]| = 1e-10: the first tangent step grows w by about 1e10
+    seed = OrbitSeed(0j, -1 + 1e-10)
+    assert abs(1 + seed.z_0) < 1e-9
+    _lanes_agree_on_the_exponent(_CHAOS, seed, 300, 0, 400)
+
+
+@pytest.mark.parametrize("beta, after", [
+    (1e-300, list(range(32))),  # after every step
+    (1e-30 - 1e-30j, [8, 17, 26, 31]),
+])
+def test_lane_tangent_renormalises_within_a_block(beta, after):
+    # every other step shrinks w by about |beta|: without the
+    # renormalisations the bounds ask for within a block, w would
+    # underflow to 0 and the exponent to -inf
+    params = Parameters(0.2278 + 0.321j, beta)
+    points = iterate(params, _CHAOS_SEED, IterationSettings(max_steps=40)).points
+    z = np.array(points[8:41])
+    assert sorted(ratdiff.analysis._renormalise_after(
+        np.array([beta]), z.real[:, None], z.imag[:, None])) == after
+    _lanes_agree_on_the_exponent(params, _CHAOS_SEED, 200, 20, 150)
+
+
+def test_lane_tangent_collapses_for_zero_beta():
+    # the tangent is 0 after two steps: -inf (or nan) is above no threshold
+    params = Parameters(0.2278 + 0.321j, 0)
+    assert lyapunov_max(params, _CHAOS_SEED, 20, 150).lambda_max == -np.inf
+    analysis = AnalysisSettings(convergence_tol=-1.0, cycle_tol=-1.0, chaos_threshold=-1e300,
+                                lyapunov_transient=20, lyapunov_sample=150)
+    iteration = IterationSettings(max_steps=200)
+    assert classify_orbit(params, _CHAOS_SEED, iteration, analysis).verdict == "undetermined"
+    assert classify_lanes(params.alpha, params.beta, _CHAOS_SEED.z_minus1, _CHAOS_SEED.z_0,
+                          iteration, analysis) == ["undetermined"]
 
 
 # --- lanes that leave once their state repeats ------------------------------------
@@ -443,9 +575,9 @@ def _lane_and_orbit(monkeypatch, beta, seed, steps, analysis=_QUICK):
     taken = []
     real = ratdiff.analysis._lane_step
 
-    def counting(a_re, *rest):
-        taken.append(a_re.size)
-        return real(a_re, *rest)
+    def counting(ba_re, *rest):
+        taken.append(ba_re.shape[-1])
+        return real(ba_re, *rest)
 
     monkeypatch.setattr(ratdiff.analysis, "_lane_step", counting)
     iteration = IterationSettings(max_steps=steps)
@@ -496,15 +628,15 @@ def test_lanes_rebuild_the_window_of_a_retired_lane_bit_for_bit(monkeypatch, bet
 def test_history_repeats_compare_bits_and_report_the_smallest_period():
     rows = ratdiff.analysis._HISTORY + 2
     m = 5 * rows + 3
-    k = np.arange(m - rows + 1, m + 1)  # the points the history holds, point k in row k % rows
+    k = np.arange(m - rows + 1, m + 1)  # the points the history holds, in order
     lanes = [
         [complex(i % 3, 0.0) for i in k],  # period 3, and so 6, 9, ...
         [complex(0.0 if i % 2 else -0.0, 0.0) for i in k],  # equal values, period 2 in bits
         [complex(i, 0.0) for i in k],  # no repeat
     ]
-    hist = np.empty((rows, len(lanes)), dtype=complex)
-    hist[k % rows] = np.array(lanes).T
-    cols, periods = ratdiff.analysis._history_repeats(hist, m)
+    hist = np.array(lanes).T
+    cols, periods = ratdiff.analysis._history_repeats(np.ascontiguousarray(hist.real),
+                                                      np.ascontiguousarray(hist.imag))
     assert cols.tolist() == [0, 1] and periods.tolist() == [3, 2]
 
 

@@ -529,15 +529,20 @@ _RECT = st.lists(_BOUND, min_size=4, max_size=4).map(
     lambda b: ",".join(repr(v) for v in sorted(b[:2]) + sorted(b[2:])))
 
 
+def _flag(name, value, attached):
+    """A flag and its value, as one --name=value word or as two words."""
+    return [f"--{name}={value}"] if attached else [f"--{name}", value]
+
+
 @settings(max_examples=100, deadline=None)
 @given(branch=st.sampled_from(["plus", "minus"]), alpha_rect=_RECT, beta_rect=_RECT,
        budget=st.integers(1, 3000), rng_seed=st.integers(0, 2**32 - 1),
-       fmt=st.sampled_from(["json", "csv", "svg"]))
+       fmt=st.sampled_from(["json", "csv", "svg"]), attached=st.booleans())
 def test_scan_cli_exits_cleanly_with_strict_output(branch, alpha_rect, beta_rect, budget,
-                                                   rng_seed, fmt):
-    argv = ["scan", "--branch", branch, f"--alpha-rect={alpha_rect}",
-            f"--beta-rect={beta_rect}", "--budget", str(budget), "--rng-seed", str(rng_seed),
-            "--format", fmt]
+                                                   rng_seed, fmt, attached):
+    argv = ["scan", "--branch", branch, *_flag("alpha-rect", alpha_rect, attached),
+            *_flag("beta-rect", beta_rect, attached), "--budget", str(budget),
+            "--rng-seed", str(rng_seed), "--format", fmt]
     _exits_cleanly_with_strict_output(argv, fmt)
 
 
@@ -561,13 +566,13 @@ def _exits_cleanly_with_strict_output(argv, fmt):
 @settings(max_examples=50, deadline=None)
 @given(vary=st.sampled_from(["seed", "alpha", "beta"]), rect=_RECT,
        nx=st.integers(1, 4), ny=st.integers(1, 4), steps=st.integers(1, 600),
-       fmt=st.sampled_from(["json", "csv", "svg"]))
-def test_grid_cli_exits_cleanly_with_strict_output(vary, rect, nx, ny, steps, fmt):
+       fmt=st.sampled_from(["json", "csv", "svg"]), attached=st.booleans())
+def test_grid_cli_exits_cleanly_with_strict_output(vary, rect, nx, ny, steps, fmt, attached):
     # the chaotic catalog pair and the bench seed: cells that escape,
     # settle, lock onto a cycle or stay chaotic, whatever is varied
     argv = ["grid", "--vary", vary, "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
-            "--seed=0.1+0.1i,0.2-0.1i", f"--rect={rect}", "--resolution", f"{nx}x{ny}",
-            "--steps", str(steps), "--format", fmt]
+            *_flag("seed", "0.1+0.1i,0.2-0.1i", attached), *_flag("rect", rect, attached),
+            "--resolution", f"{nx}x{ny}", "--steps", str(steps), "--format", fmt]
     _exits_cleanly_with_strict_output(argv, fmt)
 
 
@@ -583,25 +588,56 @@ _COMPLEX = st.builds(_literal, _BOUND, _BOUND)
                                 "trichotomy", "identities"]),
        alpha=_COMPLEX, beta=_COMPLEX, seed=st.tuples(_COMPLEX, _COMPLEX),
        steps=st.integers(1, 600), transient=st.integers(0, 600), sample=st.integers(1, 600),
-       fmt=st.sampled_from(["json", "json", "json", "csv", "svg"]))
+       fmt=st.sampled_from(["json", "json", "json", "csv", "svg"]), attached=st.booleans())
 # the alpha + beta - 1 equilibrium's residual is inf, which JSON cannot hold
 @example(command="equilibria", alpha="0.0+0.0i", beta="0.0+1.3407807929942597e+154i",
-         seed=("0.0+0.0i", "0.0+0.0i"), steps=1, transient=0, sample=1, fmt="json")
+         seed=("0.0+0.0i", "0.0+0.0i"), steps=1, transient=0, sample=1, fmt="json",
+         attached=True)
 def test_other_commands_exit_cleanly_with_strict_output(command, alpha, beta, seed, steps,
-                                                        transient, sample, fmt):
+                                                        transient, sample, fmt, attached):
     # identities takes beta = alpha + 1 when --beta is left out: any
     # other beta breaks its hypothesis (exit 2).  Only orbit writes CSV
     # and SVG; the others exit 2 for those formats.
-    argv = [command, f"--alpha={alpha}", "--format", fmt]
+    argv = [command, *_flag("alpha", alpha, attached), "--format", fmt]
     if command != "identities":
-        argv.append(f"--beta={beta}")
+        argv += _flag("beta", beta, attached)
     if command in ("orbit", "period", "lyapunov", "identities"):
-        argv.append(f"--seed={seed[0]},{seed[1]}")
+        argv += _flag("seed", f"{seed[0]},{seed[1]}", attached)
     if command == "lyapunov":
         argv += ["--transient", str(transient), "--sample", str(sample)]
     elif command in ("orbit", "period", "identities"):
         argv += ["--steps", str(steps)]
     _exits_cleanly_with_strict_output(argv, fmt)
+
+
+@pytest.mark.parametrize("words, attached", [
+    (["equilibria", "--alpha", "-0.5+1i", "--beta", "1"],
+     ["equilibria", "--alpha=-0.5+1i", "--beta", "1"]),
+    (["orbit", "--alpha", "1", "--beta", "1", "--seed", "-0.1,0.2"],
+     ["orbit", "--alpha", "1", "--beta", "1", "--seed=-0.1,0.2"]),
+    (["grid", "--vary", "seed", "--alpha", "1", "--beta", "1", "--rect", "-1,1,-1,1"],
+     ["grid", "--vary", "seed", "--alpha", "1", "--beta", "1", "--rect=-1,1,-1,1"]),
+    (["scan", "--branch", "plus", "--alpha-rect", "-1,1,-1,1", "--beta-rect", "-.5,1,-1,-0.5"],
+     ["scan", "--branch", "plus", "--alpha-rect=-1,1,-1,1", "--beta-rect=-.5,1,-1,-0.5"]),
+    (["lyapunov", "--alpha", "-0.2278-0.321i", "--beta", "-1e-3+0.5i", "--seed",
+      "-0.1-0.1i,-0.2+0.1i", "--out", "-x.json", "--sample", "100"],
+     ["lyapunov", "--alpha=-0.2278-0.321i", "--beta=-1e-3+0.5i",
+      "--seed=-0.1-0.1i,-0.2+0.1i", "--out=-x.json", "--sample", "100"]),
+])
+def test_values_starting_with_a_minus_sign_may_be_separate_words(words, attached):
+    assert parse_args(words) == parse_args(attached)
+
+
+def test_a_value_the_flag_rejects_is_the_same_usage_error_in_both_forms(capsys):
+    assert main(["orbit", "--alpha", "1", "--beta", "1", "--steps", "-5"]) == 2
+    assert main(["orbit", "--alpha", "1", "--beta", "1", "--steps=-5"]) == 2
+    first, second = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert first == second and first.endswith("got '-5'")
+
+
+def test_a_flag_after_a_value_flag_is_not_its_value(capsys):
+    assert main(["equilibria", "--alpha", "--beta", "1"]) == 2
+    assert "--alpha: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

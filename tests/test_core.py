@@ -15,7 +15,7 @@ from ratdiff import (
     step,
     tangent,
 )
-from ratdiff.core import _lane_step, _within
+from ratdiff.core import _guard_block, _lane_step, _within
 
 
 def test_step_zero_parameters():
@@ -158,16 +158,23 @@ def _bits(z: complex) -> tuple[str, str]:
     return z.real.hex(), z.imag.hex()
 
 
-def _check_lanes(alpha, beta, z_prev, z_curr, tol, radius):
-    """_lane_step against step() and abs(), lane by lane, by float.hex.
+def _lane_parts(*lanes):
+    """The float64 parts of complex lanes, stacked in rows as _lane_step takes them."""
+    return [np.stack([getattr(z, part) for z in lanes]) for part in ("real", "imag")]
 
-    Returns the (singular, escaped) masks, all False where _lane_step
-    reports that no lane tripped.
+
+def _check_lanes(alpha, beta, z_prev, z_curr, tol, radius):
+    """_lane_step and _guard_block against step() and abs(), lane by lane, by float.hex.
+
+    The block is the one step (z_prev, z_curr) -> z_next.  Returns the
+    (singular, escaped) masks, all False where _guard_block reports that
+    no lane tripped.
     """
     lanes = [np.asarray(v, dtype=complex) for v in (alpha, beta, z_prev, z_curr)]
-    parts = [np.ascontiguousarray(part) for z in lanes for part in (z.real, z.imag)]
     with np.errstate(all="ignore"):
-        x_re, x_im, singular, escaped = _lane_step(*parts, tol, radius)
+        x_re, x_im = _lane_step(*_lane_parts(lanes[1], lanes[0]), *_lane_parts(*lanes[2:]))
+        singular, escaped = _guard_block(np.stack((lanes[3].real, x_re)),
+                                         np.stack((lanes[3].imag, x_im)), tol, radius)
     if singular is None:
         assert escaped is None
         singular = escaped = np.zeros(x_re.shape, dtype=bool)
@@ -208,10 +215,11 @@ def test_lane_step_matches_step_bit_for_bit():
     inside &= np.maximum(np.abs(alpha), np.abs(beta)) < 3  # keep z_next within 25 of 0
     inside &= np.maximum(np.abs(z_prev), np.abs(z_curr)) < 3
     inside &= np.abs(1 + z_curr) > 1
-    lanes = [np.ascontiguousarray(part) for z in (alpha, beta, z_prev, z_curr)
-             for part in (z.real[inside], z.imag[inside])]
     with np.errstate(all="ignore"):
-        assert _lane_step(*lanes, 1e-12, 50.0)[2:] == (None, None)
+        x_re, x_im = _lane_step(*_lane_parts(beta[inside], alpha[inside]),
+                                *_lane_parts(z_prev[inside], z_curr[inside]))
+        assert _guard_block(np.stack((z_curr.real[inside], x_re)),
+                            np.stack((z_curr.imag[inside], x_im)), 1e-12, 50.0) == (None, None)
     assert inside.sum() > 20
 
 
@@ -275,6 +283,32 @@ def test_lane_step_edges_together():
     singular, escaped = _check_lanes(alpha, beta, z_prev, z_curr, _TOL, _RADIUS)
     assert singular.tolist() == [False, True] + [False] * 7
     assert escaped.tolist() == [False] * 4 + [True, False, True, True, False]
+
+
+def test_block_guard_reports_each_lanes_first_trip():
+    # points z[m0], ..., z[m0 + 4] (rows) of nine lanes: the pole is tested
+    # at z[m0] .. z[m0 + 3], the escape at z[m0 + 1] .. z[m0 + 4], and at
+    # one point the escape comes first, as iterate computes the point
+    # before it divides by 1 + z
+    nan = math.nan
+    lanes = [
+        [0, 0, 0, 0, 0],  # no trip
+        [-1, 0, 0, 0, 0],  # the pole at the block's first point
+        [0, 0, 0, 0, 2],  # an escape at its last point
+        [0, 0, -1, 2, 0],  # the pole, then an escape at the next point
+        [0, 0, -1.6, 0, 0],  # outside the radius and near the pole
+        [0, 2, 0, -1, 0],  # an escape, then the pole
+        [0, 0, 0, 0, -1],  # the pole at the last point: the next block's
+        [0, 0, nan, 0, 0],  # not finite
+        [2, 0, 0, 0, 0],  # the point before the block, tested by the last
+    ]
+    z = np.array(lanes, dtype=complex).T
+    with np.errstate(all="ignore"):
+        singular, escaped = _guard_block(z.real.copy(), z.imag.copy(), 0.75, 1.5)
+        assert _guard_block(z.real[:, [0, 6, 8]].copy(), z.imag[:, [0, 6, 8]].copy(),
+                            0.75, 1.5) == (None, None)
+    assert np.flatnonzero(singular).tolist() == [1, 3]
+    assert np.flatnonzero(escaped).tolist() == [2, 4, 5, 7]
 
 
 def test_tangent_zero_beta():

@@ -144,12 +144,20 @@ def test_scan_extrema_monotone_across_block_boundaries(branch, rng_seed, corner,
     assert a.samples <= b.samples <= small + extra
 
 
+def _clip(rect, z):
+    """z with each part clamped into the rectangle by Python's max and min."""
+    return complex(
+        min(max(z.real, rect.re_min), rect.re_max),
+        min(max(z.imag, rect.im_min), rect.im_max),
+    )
+
+
 def _reference_scan(branch, region_alpha, region_beta, budget, rng_seed):
     """scan_margin walking one local proposal at a time.
 
     The global rows come from the lane kernel, block by block; each local
-    proposal is built from Python floats, clipped by ComplexRect.clip and
-    evaluated by clark_margin_at when its row comes.
+    proposal is built from Python floats, clipped by _clip and evaluated
+    by clark_margin_at when its row comes.
     """
     rng = np.random.default_rng(rng_seed)
     best_max, best_min = -np.inf, np.inf
@@ -163,7 +171,7 @@ def _reference_scan(branch, region_alpha, region_beta, budget, rng_seed):
                      (2 * u[1] - 1) * shrink * region_alpha.im_span)
         db = complex((2 * u[2] - 1) * shrink * region_beta.re_span,
                      (2 * u[3] - 1) * shrink * region_beta.im_span)
-        return region_alpha.clip(center[0] + da), region_beta.clip(center[1] + db)
+        return _clip(region_alpha, center[0] + da), _clip(region_beta, center[1] + db)
 
     for start in range(0, budget, _BLOCK_ROWS):
         u = rng.random((min(_BLOCK_ROWS, budget - start), 4))
@@ -266,14 +274,14 @@ def test_scan_equals_one_proposal_at_a_time(branch, region_alpha, region_beta, b
 
 def test_lane_clip_breaks_ties_as_complex_rect_clip():
     # np.maximum and np.minimum return the other operand on a tie of signed
-    # zeros; ComplexRect.clip, by Python's max and min, keeps the value
+    # zeros; _clip, by Python's max and min, keeps the value
     values = [-0.0, 0.0, -1.0, 1.0, math.inf, -math.inf]
     for lo in (-0.0, 0.0):
         for hi in (-0.0, 0.0):
             rect = ComplexRect(lo, hi, lo, hi)
             lanes = _lane_clip(np.array(values), lo, hi).tolist()
             assert [v.hex() for v in lanes] \
-                == [rect.clip(complex(v, v)).real.hex() for v in values]
+                == [_clip(rect, complex(v, v)).real.hex() for v in values]
 
 
 def test_scan_skips_overflowing_draws():
