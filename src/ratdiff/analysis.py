@@ -65,10 +65,6 @@ _GUARD_VERDICTS = {STATUS_SINGULAR: VERDICT_SINGULAR, STATUS_ESCAPED: VERDICT_UN
 _HISTORY = 24
 _CHECK = 32
 
-# what a closed lane's zeros replace: the parts of (beta, alpha) and of
-# the ring of points, and beta for the tangent
-_ZEROED = ("ba_re", "ba_im", "re", "im", "b")
-
 # _tangent_block renormalises before a step that could take the tangent's
 # growth since the last renormalisation past this factor, up or down
 _GROWTH_LIMIT = 2.0 ** 900
@@ -195,9 +191,7 @@ def _reference_orbit(params: Parameters, points: tuple[complex, ...], n_transien
         more = iterate(params, OrbitSeed(points[-2], points[-1]), IterationSettings(
             length - len(points), settings.escape_radius, settings.singular_tol))
         if more.status != STATUS_COMPLETED:
-            stop = len(points) - 2 + more.stop_step
-            raise GuardTripped(more.status, f"orbit {more.status} at step {stop} while sampling",
-                               stop, more.points[more.stop_step])
+            raise more.guard_error(len(points) - 2, " while sampling")
         points += more.points[2:]
     return points[:length]
 
@@ -354,28 +348,13 @@ def _keep(lanes: dict, keep: np.ndarray) -> None:
             lanes[key] = np.compress(keep, value, axis=-1)  # C-contiguous, as _bits' view needs
 
 
-def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray],
-            slack: float = 0.0) -> None:
-    """Record the verdict of each open masked lane and close it.
-
-    Closed lanes leave the working arrays once they make up more than
-    `slack` of them.  The guard and retirement checks allow a quarter:
-    dropping a few lanes at every check reallocates every array each time
-    and fragments the heap, which showed as peak memory.
-    """
-    is_open = lanes["open"]
-    done = functools.reduce(np.logical_or, masks.values()) & is_open
+def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray]) -> None:
+    """Record the verdict of each masked lane and drop it from the working arrays."""
+    done = functools.reduce(np.logical_or, masks.values())
     if done.any():
         for verdict, mask in masks.items():
-            verdicts[lanes["id"][mask & is_open]] = verdict
-        is_open &= ~done
-        # a closed lane steps on at z = 0 with alpha = beta = 0, a fixed
-        # point that passes every guard bound and stays out of the
-        # tangent's growth bounds
-        for key in _ZEROED:
-            lanes[key][..., done] = 0
-    if np.count_nonzero(is_open) < (1 - slack) * is_open.size:
-        _keep(lanes, is_open)
+            verdicts[lanes["id"][mask]] = verdict
+        _keep(lanes, ~done)
 
 
 def _walk(lanes: dict, steps: int) -> None:
@@ -477,7 +456,7 @@ def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol:
     their last `periods` points, point k in row k % periods, and a
     (period, lane) pair stays in its "pairs" while every pair of tail
     points that far apart has held.  Once every period has been tried, a
-    lane leaves the test with its last pair or when it closes.
+    lane leaves the test with its last pair or with its verdict.
     """
     cycle = lanes["cycle"]
     z, ring, pairs = z[cycle["pos"]], cycle["ring"], cycle["pairs"]
@@ -492,7 +471,6 @@ def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol:
     if m - cut >= periods:
         keep = np.zeros(z.size, dtype=bool)
         keep[pairs["pos"]] = True
-        keep &= lanes["open"][cycle["pos"]]
         if not keep.any():
             del lanes["cycle"]
         elif not keep.all():
@@ -546,7 +524,7 @@ def _pair_repeats(cycle: dict, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
             window: range | None, analysis: AnalysisSettings, row: int) -> None:
-    """Close the lanes whose state at point m repeats bit for bit.
+    """Decide the lanes whose state at point m repeats bit for bit.
 
     When (points[m - 1], points[m]) equals (points[m - 1 - P],
     points[m - P]) bit for bit, every later point repeats with period P
@@ -579,8 +557,6 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
             return ring[k % ring.shape[0], col]
     else:
         return
-    is_open = lanes["open"][pos]  # closed lanes wait in the arrays until they are dropped
-    cols, period, pos, cycled = cols[is_open], period[is_open], pos[is_open], cycled[is_open]
     onset = m - period - 1
     settled = np.zeros(cols.size, dtype=bool)
     if window is not None:
@@ -595,7 +571,7 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
     for verdict, mask in ((VERDICT_CONVERGES, settled), (VERDICT_PERIODIC, cycled & ~settled)):
         masks[verdict] = np.zeros(lanes["id"].size, dtype=bool)
         masks[verdict][pos[mask]] = True
-    _decide(lanes, verdicts, masks, slack=0.25)
+    _decide(lanes, verdicts, masks)
 
 
 def classify_lanes(
@@ -619,12 +595,13 @@ def classify_lanes(
     multiple of _CHECK, at the transient cut, where classify_orbit's
     orbit ends and at the last point.  Per point, the map step only
     writes the new point into a ring that holds the block and the two
-    points before it.  At each block end, the guards close the lanes
-    that tripped within the block; the tangent estimate and, from the
-    cut on, detect_cycle's test run along the block's points; and at a
-    multiple of _CHECK the lanes whose state repeats bit for bit leave
-    with the verdict the repeat fixes (_retire).  Where classify_orbit's
-    orbit ends, the settled windows and the locked cycles leave.
+    points before it.  A decided lane leaves the working arrays at once.
+    At each block end, the lanes that tripped a guard within the block
+    leave; the tangent estimate and, from the cut on, detect_cycle's test
+    run along the block's points; and at a multiple of _CHECK the lanes
+    whose state repeats bit for bit leave with the verdict the repeat
+    fixes (_retire).  Where classify_orbit's orbit ends, the settled
+    windows and the locked cycles leave.
     """
     values = [np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0)))]
@@ -635,7 +612,7 @@ def classify_lanes(
     lanes = {"ba_re": np.stack((values[1].real, values[0].real)),
              "ba_im": np.stack((values[1].imag, values[0].imag)),
              "re": np.zeros((_CHECK + 2, count)), "im": np.zeros((_CHECK + 2, count)),
-             "b": values[1].copy(), "id": np.arange(count), "open": np.ones(count, dtype=bool),
+             "b": values[1].copy(), "id": np.arange(count),
              "w1": np.ones(count, dtype=complex),  # tangent along (z[n], z[n-1])
              "w2": np.zeros(count, dtype=complex), "log_sum": np.zeros(count)}
     lanes["re"][:2] = values[2].real, values[3].real
@@ -661,17 +638,14 @@ def classify_lanes(
             singular, escaped = _guard_block(lanes["re"][1:size + 2], lanes["im"][1:size + 2],
                                              tol, esc)
             if singular is not None:
-                _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped},
-                        slack=0.25)
-                if not lanes["id"].size:
-                    return verdicts.tolist()
+                _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped})
             row = 1 - m0  # point j is in ring row j + row
             lo, hi = max(first, lt + 1, 1), min(m1, lt + ls)
             if lo <= hi:  # the tangent steps lo..hi read points lo - 1..hi
                 _tangent_block(lanes, lanes["re"][lo - 1 + row:hi + 1 + row],
                                lanes["im"][lo - 1 + row:hi + 1 + row])
             if m1 == cut and periods >= 1:  # the cycle test starts at the cut
-                pos = np.flatnonzero(lanes["open"])
+                pos = np.arange(lanes["id"].size)
                 lanes["cycle"] = {"pos": pos,
                                   "ring": np.empty((periods, pos.size), dtype=complex),
                                   "pairs": {"pos": np.empty(0, dtype=np.intp),

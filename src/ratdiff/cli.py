@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from collections import Counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,13 +32,6 @@ from .serialize import FORMATS, FormatError, ResultEnvelope, RunSpec, emit, pars
 from .stability import classify, equilibria, equilibrium_residual, linearization
 
 __all__ = ["UsageError", "parse_args", "execute", "main"]
-
-_DEFAULT_STEPS = {
-    "orbit": 1000,
-    "period": 20_000,
-    "identities": 100,
-    "grid": 4000,
-}
 
 
 class UsageError(Exception):
@@ -127,20 +121,6 @@ _FLAGS = {
 }
 _SHARED_FLAGS = ("alpha", "beta", "out", "format", "rng-seed")
 _VALUE_FLAGS = {*_FLAGS, "config"}  # every flag takes a value
-_COMMANDS = {
-    "orbit": ("iterate the map and record the trajectory", ("seed", "steps")),
-    "equilibria": ("fixed points of the map", ()),
-    "stability": ("linearization, Clark margins, and root verdicts", ()),
-    "trichotomy": ("|beta| vs |alpha+1| outcome prediction", ()),
-    "period": ("detect the minimal locked cycle", ("seed", "steps")),
-    "lyapunov": ("largest Lyapunov exponent (tangent method)",
-                 ("seed", "transient", "sample")),
-    "scan": ("margin extrema over parameter rectangles",
-             ("branch", "alpha-rect", "beta-rect", "budget")),
-    "grid": ("classification grid over seeds or a parameter",
-             ("seed", "vary", "rect", "resolution", "steps")),
-    "identities": ("orbit identity residuals for beta = alpha+1", ("seed", "steps")),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (desc, own) in _COMMANDS.items():
+    for command, (desc, own, *_) in _COMMANDS.items():
         p = sub.add_parser(command, help=desc)
         p.add_argument("--config", default=None, help="flat key=value file")
         for name in (*_SHARED_FLAGS, *own):
@@ -165,16 +145,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> dict[str, str]:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise UsageError(f"--config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"--config {path}: not UTF-8 at byte {exc.start}") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -223,7 +209,7 @@ def parse_args(argv: list[str]) -> RunSpec:
     command = args.command
     get = lambda name, default=None: getattr(args, name, None) if getattr(args, name, None) is not None else default
 
-    steps = get("steps", _DEFAULT_STEPS.get(command))
+    steps = get("steps", _COMMANDS[command].steps)
     seeds = getattr(args, "seed", None)
     if command == "grid":
         resolution = get("resolution", (32, 32))
@@ -347,9 +333,7 @@ def _run_period(spec: RunSpec) -> dict:
     seed = _seed_list(spec)[0]
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
     if orbit.status != STATUS_COMPLETED:
-        raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}; "
-                                         "period detection needs a completed orbit",
-                           orbit.stop_step, orbit.points[orbit.stop_step])
+        raise orbit.guard_error(suffix="; period detection needs a completed orbit")
     report = detect_cycle(orbit)
     payload = {"kind": "period", "status": orbit.status, "period": None}
     if report is not None:
@@ -439,8 +423,7 @@ def _run_identities(spec: RunSpec) -> dict:
     except HypothesisError as exc:
         raise UsageError(f"--beta: {exc}") from None
     except ValueError:  # a singular orbit, or a seed that escaped: no iterate to check
-        raise GuardTripped(orbit.status, f"orbit {orbit.status} at step {orbit.stop_step}",
-                           orbit.stop_step, orbit.points[orbit.stop_step]) from None
+        raise orbit.guard_error() from None
     return {
         "kind": "identities",
         "status": orbit.status,
@@ -451,16 +434,28 @@ def _run_identities(spec: RunSpec) -> dict:
     }
 
 
-_RUNNERS = {
-    "orbit": _run_orbit,
-    "equilibria": _run_equilibria,
-    "stability": _run_stability,
-    "trichotomy": _run_trichotomy,
-    "period": _run_period,
-    "lyapunov": _run_lyapunov,
-    "scan": _run_scan,
-    "grid": _run_grid,
-    "identities": _run_identities,
+class _Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]  # the command's own flags, after _SHARED_FLAGS
+    run: Callable[[RunSpec], dict]
+    steps: int | None = None  # the default --steps
+
+
+_COMMANDS = {
+    "orbit": _Command("iterate the map and record the trajectory", ("seed", "steps"),
+                      _run_orbit, 1000),
+    "equilibria": _Command("fixed points of the map", (), _run_equilibria),
+    "stability": _Command("linearization, Clark margins, and root verdicts", (), _run_stability),
+    "trichotomy": _Command("|beta| vs |alpha+1| outcome prediction", (), _run_trichotomy),
+    "period": _Command("detect the minimal locked cycle", ("seed", "steps"), _run_period, 20_000),
+    "lyapunov": _Command("largest Lyapunov exponent (tangent method)",
+                         ("seed", "transient", "sample"), _run_lyapunov),
+    "scan": _Command("margin extrema over parameter rectangles",
+                     ("branch", "alpha-rect", "beta-rect", "budget"), _run_scan),
+    "grid": _Command("classification grid over seeds or a parameter",
+                     ("seed", "vary", "rect", "resolution", "steps"), _run_grid, 4000),
+    "identities": _Command("orbit identity residuals for beta = alpha+1", ("seed", "steps"),
+                           _run_identities, 100),
 }
 
 
@@ -470,7 +465,7 @@ def execute(spec: RunSpec) -> ResultEnvelope:
     payload: dict = {}
     error = None
     try:
-        payload = _RUNNERS[spec.command](spec)
+        payload = _COMMANDS[spec.command].run(spec)
     except GuardTripped as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
     return ResultEnvelope(

@@ -141,6 +141,12 @@ class Orbit:
     def __len__(self) -> int:
         return len(self.points)
 
+    def guard_error(self, offset: int = 0, suffix: str = "") -> GuardTripped:
+        """The GuardTripped of this stopped orbit, its step shifted by offset."""
+        stop = offset + self.stop_step
+        return GuardTripped(self.status, f"orbit {self.status} at step {stop}{suffix}", stop,
+                            self.points[self.stop_step])
+
 
 def step(
     params: Parameters,

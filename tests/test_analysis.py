@@ -396,8 +396,8 @@ def test_lanes_extend_the_orbit_past_the_lyapunov_sample():
 
 @pytest.mark.parametrize("size", [1, 3])
 def test_lanes_leave_their_arguments_unchanged(size):
-    # the lanes escape at point 48 and sit closed in the arrays until
-    # the end: their working copies change, the caller's arrays must not
+    # the lanes escape at point 48 and leave the working arrays then:
+    # their working copies change, the caller's arrays must not
     args = [np.full(size, z) for z in (40 + 33j, 27 + 77j, 0.3 - 0.2j, -0.4 + 0.1j)]
     before = [a.copy() for a in args]
     assert classify_lanes(*args, IterationSettings(max_steps=100)) == ["unbounded"] * size
@@ -444,8 +444,8 @@ _CHAOS, _CHAOS_SEED = Parameters(0.2278 + 0.321j, 0.82956 + 0.8221j), OrbitSeed(
 _EDGES = AnalysisSettings(lyapunov_transient=20, lyapunov_sample=100)
 
 
-def _lane_steps(monkeypatch, params, seed, iteration, analysis):
-    """(classify_lanes' verdict, classify_orbit's verdict, steps the lane took)."""
+def _count_lanes(monkeypatch) -> list[int]:
+    """The number of lanes in each later _lane_step call, in call order."""
     taken = []
     real = ratdiff.analysis._lane_step
 
@@ -454,6 +454,12 @@ def _lane_steps(monkeypatch, params, seed, iteration, analysis):
         return real(ba_re, *rest)
 
     monkeypatch.setattr(ratdiff.analysis, "_lane_step", counting)
+    return taken
+
+
+def _lane_steps(monkeypatch, params, seed, iteration, analysis):
+    """(classify_lanes' verdict, classify_orbit's verdict, steps the lane took)."""
+    taken = _count_lanes(monkeypatch)
     [verdict] = classify_lanes(params.alpha, params.beta, seed.z_minus1, seed.z_0, iteration,
                                analysis)
     return verdict, classify_orbit(params, seed, iteration, analysis).verdict, sum(taken)
@@ -509,6 +515,24 @@ def test_lanes_close_an_escape_before_its_garbage_repeats(monkeypatch):
     assert iterate(params, seed).stop_step == 2
     assert _lane_steps(monkeypatch, params, seed, IterationSettings(max_steps=100), _EDGES) == (
         "unbounded", "unbounded", 31)
+
+
+def test_a_decided_lane_is_stepped_no_more(monkeypatch):
+    # lane 0 escapes at point 2, inside the first block (points 2..32);
+    # from the next block on only the three chaotic lanes are stepped
+    points = iterate(_CHAOS, _CHAOS_SEED, IterationSettings(max_steps=300)).points
+    lanes = [(Parameters(1e308, 1e308), OrbitSeed(1, 1))]
+    lanes += [(_CHAOS, OrbitSeed(*points[k:k + 2])) for k in (100, 200, 299)]
+    iteration = IterationSettings(max_steps=100)
+    taken = _count_lanes(monkeypatch)
+    verdicts = classify_lanes(*(np.array(v) for v in zip(
+        *((p.alpha, p.beta, s.z_minus1, s.z_0) for p, s in lanes))), iteration, _EDGES)
+    assert verdicts == [classify_orbit(p, s, iteration, _EDGES).verdict for p, s in lanes]
+    assert verdicts[0] == "unbounded"
+    assert all(v in ("chaotic", "undetermined") for v in verdicts[1:])
+    first = ratdiff.analysis._CHECK - 1
+    # the three run on to the end of the reference orbit, point 121
+    assert taken == [4] * first + [3] * (120 - first)
 
 
 def _lanes_agree_on_the_exponent(params, seed, steps, transient, sample):
