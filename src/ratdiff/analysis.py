@@ -117,14 +117,20 @@ def detect_convergence(orbit: Orbit, tol: float = 1e-9, window: int = 32) -> com
     """
     if orbit.status != STATUS_COMPLETED or len(orbit.points) < window:
         return None
-    return _settled_mean(np.asarray(orbit.points[-window:], dtype=complex), tol)
+    mean, settled = _settled(np.asarray(orbit.points[-window:], dtype=complex), tol)
+    return complex(mean) if settled else None
 
 
-def _settled_mean(tail: np.ndarray, tol: float) -> complex | None:
-    mean = tail.mean()
-    if np.abs(tail - mean).max() <= tol:
-        return complex(mean)
-    return None
+def _settled(tails: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, settled) along the last axis of tails: settled where every
+    point lies within tol of the mean.
+
+    The mean of each row of a C-contiguous array takes the same pairwise
+    sum as the mean of that row alone, so its bits do not depend on the
+    rows beside it.
+    """
+    mean = tails.mean(axis=-1)
+    return mean, np.abs(tails - mean[..., None]).max(axis=-1) <= tol
 
 
 def _transient_cut(n: int, max_period: int) -> int:
@@ -139,12 +145,11 @@ def detect_cycle(
     orbit: Orbit,
     tol: float = 1e-6,
     max_period: int = 128,
-    transient: int | None = None,
 ) -> CycleReport | None:
     """Minimal locked period of the orbit tail, or None.
 
-    After discarding a transient prefix (default: the first half of the
-    orbit, at least 500 points when affordable), the smallest p <=
+    After discarding a transient prefix (the first half of the orbit, at
+    least 500 points when affordable), the smallest p <=
     max_period with |z[n+p] - z[n]| <= tol*(1 + |z[n]|) across the whole
     tail is reported.  Scanning p upward makes the reported period
     minimal by construction.
@@ -152,8 +157,7 @@ def detect_cycle(
     if orbit.status != STATUS_COMPLETED:
         return None
     pts = np.asarray(orbit.points, dtype=complex)
-    if transient is None:
-        transient = _transient_cut(len(pts), max_period)
+    transient = _transient_cut(len(pts), max_period)
     tail = pts[transient:]
     if len(tail) < 2:
         return None
@@ -345,7 +349,8 @@ def _keep(lanes: dict, keep: np.ndarray) -> None:
             value["pos"] = (np.cumsum(keep) - 1)[pos]
             _keep(value, keep[pos])
         else:
-            lanes[key] = np.compress(keep, value, axis=-1)  # C-contiguous, as _bits' view needs
+            # C-contiguous, as the float view of w in _tangent_block needs
+            lanes[key] = np.compress(keep, value, axis=-1)
 
 
 def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray]) -> None:
@@ -477,21 +482,15 @@ def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol:
             _keep(cycle, keep)
 
 
-def _bits(ring: np.ndarray) -> np.ndarray:
-    """The int64 (real, imag) bit patterns of a complex ring, last axis of 2.
-
-    Comparing bits keeps 0.0 and -0.0 apart, as the map's arithmetic may.
-    """
-    return ring.view(np.int64).reshape(*ring.shape, 2)
-
-
-def _history_repeats(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _repeats(re: np.ndarray, im: np.ndarray,
+             held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(columns, periods) of the lanes whose last state repeats within re, im.
 
     re, im hold the parts of points[m - rows + 1 .. m] in their rows, in
     order; a lane's period is the smallest P with (points[m - 1 - P],
-    points[m - P]) equal bit for bit to (points[m - 1], points[m]).
-    Comparing bits keeps 0.0 and -0.0 apart, as the map's arithmetic may.
+    points[m - P]) equal bit for bit to (points[m - 1], points[m]) and,
+    when held is given, held[P, lane].  Comparing bits keeps 0.0 and -0.0
+    apart, as the map's arithmetic may.
     """
     rows = re.shape[0]
     same = True  # same[P - 1, lane]
@@ -499,27 +498,10 @@ def _history_repeats(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.nda
         bits = part.view(np.int64)
         # rows rows - 1 - P and rows - 2 - P hold points[m - P] and points[m - 1 - P]
         same = same & (bits[rows - 2:0:-1] == bits[-1]) & (bits[rows - 3::-1] == bits[-2])
+    if held is not None:
+        same &= held[1:rows - 1]
     cols = np.flatnonzero(same.any(axis=0))
     return cols, same[:, cols].argmax(axis=0) + 1
-
-
-def _pair_repeats(cycle: dict, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(columns, periods) of the cycle lanes whose state at m repeats at
-    the distance of a pair they still hold, the longest such pair each."""
-    ring = cycle["ring"]
-    rows = ring.shape[0]
-    period, col = cycle["pairs"]["period"], cycle["pairs"]["pos"]
-    fits = period <= rows - 2  # both states in the ring, as m - rows >= cut
-    period, col = period[fits], col[fits]
-    bits = _bits(ring)
-    same = np.ones(period.size, dtype=bool)
-    for k in (m, m - 1):
-        parts = bits[(k - period) % rows, col] == bits[k % rows, col]
-        same &= parts[:, 0] & parts[:, 1]
-    longest = np.zeros(ring.shape[1], dtype=np.intp)
-    np.maximum.at(longest, col[same], period[same])
-    cols = np.flatnonzero(longest)
-    return cols, longest[cols]
 
 
 def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
@@ -528,49 +510,45 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
 
     When (points[m - 1], points[m]) equals (points[m - 1 - P],
     points[m - P]) bit for bit, every later point repeats with period P
-    from s = m - P - 1 on, and no guard trips again.  The lane converges
-    when classify_orbit's window lies at or after s and settles, rebuilt
-    from the cycle.  Otherwise it is periodic when detect_cycle's test
-    passes with distance 0 for the rest of the tail: before the cut (the
-    repeat is found among the last _HISTORY + 2 points, in the ring's
-    rows up to m + row), when P is a period the test tries; after it,
-    when the lane still holds the pair of period P (found in the cycle
-    test's ring).  Any other lane stays.
+    from s = m - P - 1 on, and no guard trips again.  P is the smallest
+    such period among the recent points: before the cut, the last
+    _HISTORY + 2 points, in the ring's rows up to m + row; after it, the
+    cycle test's ring, where P must also be a period whose pair the lane
+    still holds.  The lane converges when classify_orbit's window lies at
+    or after s and settles, rebuilt from the cycle with one index
+    expression in either ring.  Otherwise it is periodic when
+    detect_cycle's test passes with distance 0 for the rest of the tail,
+    that is when P is a period the test tries.  Any other lane stays.
     """
     if m < cut:  # the cycle starts within the cut
         rows = slice(m - _HISTORY - 1 + row, m + 1 + row)
-        cols, period = _history_repeats(lanes["re"][rows], lanes["im"][rows])
-        pos = cols
-        cycled = (period <= periods) & (0 <= analysis.cycle_tol)
-
-        def points(k, col):  # point k of the lanes in columns col
-            return _complex(lanes["re"][k + row, col], lanes["im"][k + row, col])
-    elif "cycle" in lanes and m - cut >= periods:
+        re, im, held = lanes["re"][rows], lanes["im"][rows], None
+        pos = np.arange(lanes["id"].size)
+    elif "cycle" in lanes and m - cut >= periods >= 3:  # two states fit in the ring
         # only now does the ring hold just the lanes with a pair, so that
         # dropping lanes copies little of it
-        ring = lanes["cycle"]["ring"]
-        cols, period = _pair_repeats(lanes["cycle"], m)
-        pos = lanes["cycle"]["pos"][cols]
-        cycled = np.ones(cols.size, dtype=bool)
-
-        def points(k, col):
-            return ring[k % ring.shape[0], col]
+        cycle = lanes["cycle"]
+        ring = cycle["ring"][np.arange(m - periods + 1, m + 1) % periods]
+        re, im, pos = ring.real, ring.imag, cycle["pos"]
+        held = np.zeros((periods + 1, pos.size), dtype=bool)
+        held[cycle["pairs"]["period"], cycle["pairs"]["pos"]] = True
     else:
         return
+    cols, period = _repeats(re, im, held)
     onset = m - period - 1
+    cycled = (period <= periods) & (0 <= analysis.cycle_tol)
     settled = np.zeros(cols.size, dtype=bool)
     if window is not None:
         known = np.flatnonzero(onset <= window.start)
-        # window point k is points[s + (k - s) % P], rebuilt lane by lane
-        s, p = onset[known, None], period[known, None]
-        tails = points(s + (np.array(window) - s) % p, cols[known, None])
-        settled[known] = [_settled_mean(tail, analysis.convergence_tol) is not None
-                          for tail in tails]
+        # window point k is points[s + (k - s) % P], in row k - m + rows - 1
+        s, p, col = onset[known, None], period[known, None], cols[known, None]
+        k = s + (np.array(window) - s) % p - (m - re.shape[0] + 1)
+        _, settled[known] = _settled(_complex(re[k, col], im[k, col]), analysis.convergence_tol)
         cycled &= onset <= window.start
     masks = {}
     for verdict, mask in ((VERDICT_CONVERGES, settled), (VERDICT_PERIODIC, cycled & ~settled)):
         masks[verdict] = np.zeros(lanes["id"].size, dtype=bool)
-        masks[verdict][pos[mask]] = True
+        masks[verdict][pos[cols[mask]]] = True
     _decide(lanes, verdicts, masks)
 
 
@@ -666,9 +644,9 @@ def classify_lanes(
                 _retire(lanes, verdicts, m1, cut, periods, window, analysis, row)
             if m1 == n - 1:  # the orbit classify_orbit iterates is complete
                 if window is not None:
-                    settled = [_settled_mean(np.ascontiguousarray(col), analysis.convergence_tol)
-                               is not None for col in lanes.pop("tail").T]
-                    _decide(lanes, verdicts, {VERDICT_CONVERGES: np.array(settled, dtype=bool)})
+                    _, settled = _settled(np.ascontiguousarray(lanes.pop("tail").T),
+                                          analysis.convergence_tol)
+                    _decide(lanes, verdicts, {VERDICT_CONVERGES: settled})
                 if "cycle" in lanes:
                     cycle = lanes.pop("cycle")
                     periodic = np.zeros(lanes["id"].size, dtype=bool)

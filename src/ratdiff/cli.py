@@ -203,7 +203,7 @@ def _attach_values(argv: list[str]) -> list[str]:
 def parse_args(argv: list[str]) -> RunSpec:
     """Build a RunSpec from argv; config-file values fill unset flags."""
     args = _build_parser().parse_args(_attach_values(argv))
-    if args.config:
+    if args.config is not None:
         _apply_config(args, _read_config(args.config))
 
     command = args.command

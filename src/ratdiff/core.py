@@ -138,9 +138,6 @@ class Orbit:
     status: str
     stop_step: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def guard_error(self, offset: int = 0, suffix: str = "") -> GuardTripped:
         """The GuardTripped of this stopped orbit, its step shifted by offset."""
         stop = offset + self.stop_step

@@ -659,9 +659,32 @@ def test_history_repeats_compare_bits_and_report_the_smallest_period():
         [complex(i, 0.0) for i in k],  # no repeat
     ]
     hist = np.array(lanes).T
-    cols, periods = ratdiff.analysis._history_repeats(np.ascontiguousarray(hist.real),
-                                                      np.ascontiguousarray(hist.imag))
+    re, im = np.ascontiguousarray(hist.real), np.ascontiguousarray(hist.imag)
+    cols, periods = ratdiff.analysis._repeats(re, im)
     assert cols.tolist() == [0, 1] and periods.tolist() == [3, 2]
+    # with a held mask, only the periods a lane holds count: the period-3
+    # lane that holds only period 6 reports 6, and a lane that holds
+    # nothing is not reported
+    held = np.zeros((rows, 3), dtype=bool)
+    held[6, 0] = held[2, 2] = True
+    cols, periods = ratdiff.analysis._repeats(re, im, held)
+    assert cols.tolist() == [0] and periods.tolist() == [6]
+
+
+def test_settled_over_rows_gives_the_bits_and_verdicts_of_each_row_alone():
+    rng = np.random.default_rng(5)
+    tails = 0.3 - 0.7j + 1e-8 * (rng.standard_normal((4, 32)) + 1j * rng.standard_normal((4, 32)))
+    tails[0] = 0.3 - 0.7j  # a constant row
+    tails[1] = 0.3 - 0.7j + (tails[1] - 0.3 + 0.7j) / 10
+    # tol is row 1's largest deviation from its mean, exactly
+    tol = np.abs(tails[1] - tails[1].mean()).max()
+    mean, settled = ratdiff.analysis._settled(tails, tol)
+    for row, row_mean, row_settled in zip(tails, mean, settled):
+        alone_mean, alone_settled = ratdiff.analysis._settled(row, tol)
+        assert (row_mean.real.hex(), row_mean.imag.hex()) == (
+            alone_mean.real.hex(), alone_mean.imag.hex())
+        assert row_settled == alone_settled
+    assert settled.tolist() == [True, True, False, False]
 
 
 def test_lanes_retire_a_cycle_before_the_cut(monkeypatch):

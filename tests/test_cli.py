@@ -144,11 +144,12 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_args(["stability", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("name", ["missing.cfg", ".", "latin1.cfg"])
+@pytest.mark.parametrize("name", ["missing.cfg", ".", "latin1.cfg", ""])
 def test_a_config_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, name):
-    # no such file, a directory, and a byte that is not UTF-8
+    # no such file, a directory, a byte that is not UTF-8, and the empty
+    # path, given as it is
     (tmp_path / "latin1.cfg").write_bytes(b"alpha = 1\xff\n")
-    path = str(tmp_path / name)
+    path = str(tmp_path / name) if name else name
     assert main(["stability", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"ratdiff: --config {path}: ")
