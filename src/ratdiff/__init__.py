@@ -7,19 +7,25 @@ and scans parameter space.  The `ratdiff` CLI front end emits CSV, JSON,
 and SVG artifacts.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from . import analysis, core, invariants, scan, serialize, stability
-from .core import *  # noqa: F401,F403
-from .stability import *  # noqa: F401,F403
-from .invariants import *  # noqa: F401,F403
-from .analysis import *  # noqa: F401,F403
-from .scan import *  # noqa: F401,F403
-from .serialize import *  # noqa: F401,F403
+# the modules whose public names __all__ lists, in order; each loads on first use
+_MODULES = ("core", "stability", "invariants", "analysis", "scan", "serialize")
 
-# every module's public names; VERDICT_UNBOUNDED is shared by two modules
-__all__ = list(dict.fromkeys([
-    "__version__",
-    *core.__all__, *stability.__all__, *invariants.__all__,
-    *analysis.__all__, *scan.__all__, *serialize.__all__,
-]))
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":  # VERDICT_UNBOUNDED is shared by two modules
+        return list(dict.fromkeys(["__version__", *(
+            public for module in _MODULES for public in __getattr__(module).__all__)]))
+    for module in map(__getattr__, _MODULES):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES, *__getattr__("__all__")})

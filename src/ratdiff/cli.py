@@ -23,13 +23,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .analysis import detect_cycle, lyapunov_max
-from .core import (STATUS_COMPLETED, GuardTripped, IterationSettings,
+from .core import (STATUS_COMPLETED, ComplexRect, GuardTripped, IterationSettings,
                    Orbit, OrbitSeed, Parameters, iterate)
-from .invariants import HypothesisError, check_identities, trichotomy
-from .scan import ComplexRect, GridSpec, classification_grid, scan_margin
 from .serialize import FORMATS, FormatError, ResultEnvelope, RunSpec, emit, parse_complex
-from .stability import classify, equilibria, equilibrium_residual, linearization
+# runners import analysis, invariants, scan and stability, so start-up loads only what runs
 
 __all__ = ["UsageError", "parse_args", "execute", "main"]
 
@@ -225,7 +222,7 @@ def parse_args(argv: list[str]) -> RunSpec:
     if rng_seed is None and randomized:
         rng_seed = 0
 
-    return RunSpec(
+    spec = RunSpec(
         command=command,
         alpha=get("alpha"),
         beta=get("beta"),
@@ -245,6 +242,39 @@ def parse_args(argv: list[str]) -> RunSpec:
         out=get("out"),
         format=get("format", "json"),
     )
+    _check_limits(spec)
+    return spec
+
+
+# the resource rule: the most points a command holds and the most cells of
+# a grid (README, "Limits").  At the point limit a JSON orbit peaks at 332 MB
+# RSS and an SVG one at 521 MB; a grid takes about 4 KB a cell whatever
+# --steps is (292 MB at 256x256).
+_MAX_POINTS = 1_000_000
+_MAX_CELLS = 512 * 512
+_TRANSIENT, _SAMPLE = 500, 5000  # lyapunov's defaults
+
+
+def _check_limits(spec: RunSpec) -> None:
+    """UsageError where spec asks for more points or grid cells than the limits."""
+    command = spec.command
+    if command == "grid" and spec.nx * spec.ny > _MAX_CELLS:
+        raise UsageError(f"grid: --resolution {spec.nx}x{spec.ny} is {spec.nx * spec.ny} cells, "
+                         f"above the limit of {_MAX_CELLS} (512x512)")
+    if command == "lyapunov":
+        what = "--transient + --sample"
+        points = ((_TRANSIENT if spec.n_transient is None else spec.n_transient)
+                  + (_SAMPLE if spec.n_sample is None else spec.n_sample))
+    elif command in ("orbit", "period", "identities"):
+        # period and identities iterate the first seed only
+        orbits = len(spec.seeds) if command == "orbit" and spec.seeds else 1
+        what = f"--steps {spec.steps} x {orbits} seed(s)"
+        points = spec.steps * orbits
+    else:
+        return
+    if points > _MAX_POINTS:
+        raise UsageError(f"{command}: {what} is {points} points, "
+                         f"above the limit of {_MAX_POINTS}")
 
 
 def _need(spec: RunSpec, **values):
@@ -283,6 +313,7 @@ def _run_orbit(spec: RunSpec) -> dict:
 
 
 def _run_equilibria(spec: RunSpec) -> dict:
+    from .stability import equilibria, equilibrium_residual
     params = _params(spec)
     entries = []
     for eq in equilibria(params):
@@ -300,6 +331,7 @@ def _run_equilibria(spec: RunSpec) -> dict:
 
 
 def _run_stability(spec: RunSpec) -> dict:
+    from .stability import classify, equilibria, linearization
     params = _params(spec)
     reports = []
     for eq in equilibria(params):
@@ -319,6 +351,7 @@ def _run_stability(spec: RunSpec) -> dict:
 
 
 def _run_trichotomy(spec: RunSpec) -> dict:
+    from .invariants import trichotomy
     result = trichotomy(_params(spec))
     return {
         "kind": "trichotomy",
@@ -329,6 +362,7 @@ def _run_trichotomy(spec: RunSpec) -> dict:
 
 
 def _run_period(spec: RunSpec) -> dict:
+    from .analysis import detect_cycle
     params = _params(spec)
     seed = _seed_list(spec)[0]
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
@@ -347,13 +381,14 @@ def _run_period(spec: RunSpec) -> dict:
 
 
 def _run_lyapunov(spec: RunSpec) -> dict:
+    from .analysis import lyapunov_max
     params = _params(spec)
     seed = _seed_list(spec)[0]
     estimate = lyapunov_max(
         params,
         seed,
-        n_transient=spec.n_transient if spec.n_transient is not None else 500,
-        n_sample=spec.n_sample if spec.n_sample is not None else 5000,
+        n_transient=spec.n_transient if spec.n_transient is not None else _TRANSIENT,
+        n_sample=spec.n_sample if spec.n_sample is not None else _SAMPLE,
     )
     return {
         "kind": "lyapunov",
@@ -366,6 +401,7 @@ def _run_lyapunov(spec: RunSpec) -> dict:
 
 
 def _run_scan(spec: RunSpec) -> dict:
+    from .scan import scan_margin
     _need(spec, branch=spec.branch, alpha_rect=spec.alpha_rect,
           beta_rect=spec.beta_rect, budget=spec.budget)
     report = scan_margin(
@@ -384,6 +420,7 @@ def _run_scan(spec: RunSpec) -> dict:
 
 
 def _run_grid(spec: RunSpec) -> dict:
+    from .scan import GridSpec, classification_grid
     _need(spec, vary=spec.vary, rect=spec.rect)
     params = _params(spec)
     seed = None
@@ -412,6 +449,7 @@ def _run_grid(spec: RunSpec) -> dict:
 
 
 def _run_identities(spec: RunSpec) -> dict:
+    from .invariants import HypothesisError, check_identities
     _need(spec, alpha=spec.alpha)
     alpha = spec.alpha
     beta = spec.beta if spec.beta is not None else alpha + 1

@@ -145,6 +145,38 @@ class Orbit:
                             self.points[self.stop_step])
 
 
+@dataclass(frozen=True)
+class ComplexRect:
+    """Axis-aligned rectangle in the complex plane."""
+
+    re_min: float
+    re_max: float
+    im_min: float
+    im_max: float
+
+    def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not (np.isfinite(bounds).all() and self.re_min <= self.re_max
+                and self.im_min <= self.im_max):
+            raise ValueError("rectangle bounds must be finite and ordered")
+        if not np.isfinite((self.re_span, self.im_span)).all():
+            raise ValueError("rectangle spans must be finite")
+
+    @property
+    def re_span(self) -> float:
+        return self.re_max - self.re_min
+
+    @property
+    def im_span(self) -> float:
+        return self.im_max - self.im_min
+
+    def center(self, ix: int, iy: int, nx: int, ny: int) -> complex:
+        return complex(
+            self.re_min + (ix + 0.5) * self.re_span / nx,
+            self.im_min + (iy + 0.5) * self.im_span / ny,
+        )
+
+
 def step(
     params: Parameters,
     z_prev: complex,

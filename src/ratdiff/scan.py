@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import AnalysisSettings, classify_lanes
-from .core import STATUS_SINGULAR, GuardTripped, IterationSettings, OrbitSeed, Parameters
+from .core import (STATUS_SINGULAR, ComplexRect, GuardTripped, IterationSettings, OrbitSeed,
+                   Parameters)
 from .stability import BRANCH_MINUS, BRANCH_PLUS, _clark_margin_lanes
 
 __all__ = [
@@ -34,38 +35,6 @@ _REFINE_EVERY = 4  # every 4th draw is a local proposal
 # draws per lane pass: fewer rows pay numpy's per-call cost more often,
 # more rows hold larger temporaries and were no faster
 _BLOCK_ROWS = 1024
-
-
-@dataclass(frozen=True)
-class ComplexRect:
-    """Axis-aligned rectangle in the complex plane."""
-
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-
-    def __post_init__(self):
-        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not (np.isfinite(bounds).all() and self.re_min <= self.re_max
-                and self.im_min <= self.im_max):
-            raise ValueError("rectangle bounds must be finite and ordered")
-        if not np.isfinite((self.re_span, self.im_span)).all():
-            raise ValueError("rectangle spans must be finite")
-
-    @property
-    def re_span(self) -> float:
-        return self.re_max - self.re_min
-
-    @property
-    def im_span(self) -> float:
-        return self.im_max - self.im_min
-
-    def center(self, ix: int, iy: int, nx: int, ny: int) -> complex:
-        return complex(
-            self.re_min + (ix + 0.5) * self.re_span / nx,
-            self.im_min + (iy + 0.5) * self.im_span / ny,
-        )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .scan import ComplexRect
+from .core import ComplexRect
 
 __all__ = [
     "FormatError",

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ratdiff.cli
 from ratdiff import (IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
                      format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
@@ -709,3 +710,60 @@ def test_main_returns_codes_directly(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["payload"]["kind"] == "equilibria"
+
+
+# --- the resource rule -------------------------------------------------------------
+
+_POINTS, _CELLS = ratdiff.cli._MAX_POINTS, ratdiff.cli._MAX_CELLS
+_PAIR = ["--alpha", "1", "--beta", "1"]
+# each one step over a limit; none of these may ever run
+_OVER_LIMIT = [
+    ["orbit", *_PAIR, "--steps", str(_POINTS + 1)],
+    ["orbit", *_PAIR, "--seed", "0,0", "--seed", "1,1", "--steps", str(_POINTS // 2 + 1)],
+    ["period", *_PAIR, "--steps", str(_POINTS + 1)],
+    ["identities", "--alpha", "1", "--steps", str(_POINTS + 1)],
+    ["lyapunov", *_PAIR, "--transient", "0", "--sample", str(_POINTS + 1)],
+    ["lyapunov", *_PAIR, "--sample", str(_POINTS - 500 + 1)],  # the default 500 transient
+    ["grid", *_PAIR, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", f"{_CELLS + 1}x1"],
+    ["grid", *_PAIR, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", "512x513"],
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"{spec.command} ran although it is over a limit")
+    monkeypatch.setattr(ratdiff.cli, "execute", refuse)
+
+
+@pytest.mark.parametrize("argv", _OVER_LIMIT)
+def test_parse_args_rejects_a_run_over_a_limit(argv):
+    limit = _CELLS if argv[0] == "grid" else _POINTS
+    with pytest.raises(UsageError, match=f"above the limit of {limit}"):
+        parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", _OVER_LIMIT)
+def test_main_exits_two_before_any_work_over_a_limit(argv, no_work, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "above the limit of" in err
+
+
+def test_a_config_value_over_a_limit_is_rejected(tmp_path, no_work, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"steps = {_POINTS + 1}\n")
+    assert main(["period", *_PAIR, "--config", str(cfg)]) == 2
+    assert f"above the limit of {_POINTS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", *_PAIR, "--steps", str(_POINTS)],
+    ["orbit", *_PAIR, "--seed", "0,0", "--seed", "1,1", "--steps", str(_POINTS // 2)],
+    # period and identities iterate the first seed only
+    ["period", *_PAIR, "--seed", "0,0", "--seed", "1,1", "--steps", str(_POINTS)],
+    ["lyapunov", *_PAIR, "--sample", str(_POINTS - 500)],
+    ["grid", *_PAIR, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", "512x512"],
+])
+def test_parse_args_accepts_a_run_at_a_limit(argv):
+    parse_args(argv)  # parsing allocates nothing; these are never run
