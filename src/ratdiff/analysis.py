@@ -339,9 +339,9 @@ def classify_orbit(
 def _keep(lanes: dict, keep: np.ndarray) -> None:
     """Drop the lanes not in keep from every working array (lane axis last).
 
-    A nested dict holds a subset of the lanes, their positions in its
-    "pos" array; it drops the subset's members that leave, and its own
-    arrays run along the subset.
+    A nested dict holds entries that name lanes by their positions, in
+    its "pos" array: the entries of the lanes that leave go with them, and
+    the positions of the rest follow their lanes.
     """
     for key, value in lanes.items():
         if isinstance(value, dict):
@@ -457,14 +457,12 @@ def _tangent_block(lanes: dict, z_re: np.ndarray, z_im: np.ndarray) -> None:
 def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol: float) -> None:
     """detect_cycle's test at point m (z, over every lane) of the tail points[cut:].
 
-    lanes["cycle"] holds the lanes still under test.  Its ring keeps
-    their last `periods` points, point k in row k % periods, and a
-    (period, lane) pair stays in its "pairs" while every pair of tail
-    points that far apart has held.  Once every period has been tried, a
-    lane leaves the test with its last pair or with its verdict.
+    lanes["ring"] keeps every lane's last `periods` points, point k in row
+    k % periods, and a (period, lane) pair stays in lanes["pairs"] while
+    every pair of tail points that far apart has held.  Once every period
+    has been tried and no pair is left, the test ends.
     """
-    cycle = lanes["cycle"]
-    z, ring, pairs = z[cycle["pos"]], cycle["ring"], cycle["pairs"]
+    ring, pairs = lanes["ring"], lanes["pairs"]
     period, lane = pairs["period"], pairs["pos"]
     if 1 <= m - cut <= periods:  # period m - cut meets its first pair
         period = np.concatenate((period, np.full(z.size, m - cut)))
@@ -473,13 +471,8 @@ def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol:
     held = np.abs(z[lane] - past) <= tol * (1 + np.abs(past))
     pairs["period"], pairs["pos"] = period[held], lane[held]
     ring[m % periods] = z
-    if m - cut >= periods:
-        keep = np.zeros(z.size, dtype=bool)
-        keep[pairs["pos"]] = True
-        if not keep.any():
-            del lanes["cycle"]
-        elif not keep.all():
-            _keep(cycle, keep)
+    if m - cut >= periods and not pairs["pos"].size:
+        del lanes["ring"], lanes["pairs"]
 
 
 def _repeats(re: np.ndarray, im: np.ndarray,
@@ -524,14 +517,14 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
         rows = slice(m - _HISTORY - 1 + row, m + 1 + row)
         re, im, held = lanes["re"][rows], lanes["im"][rows], None
         pos = np.arange(lanes["id"].size)
-    elif "cycle" in lanes and m - cut >= periods >= 3:  # two states fit in the ring
-        # only now does the ring hold just the lanes with a pair, so that
-        # dropping lanes copies little of it
-        cycle = lanes["cycle"]
-        ring = cycle["ring"][np.arange(m - periods + 1, m + 1) % periods]
-        re, im, pos = ring.real, ring.imag, cycle["pos"]
+    elif "pairs" in lanes and m - cut >= periods >= 3:  # two states fit in the ring
+        # the ring's columns of the lanes that hold a pair, rows in order
+        pairs = lanes["pairs"]
+        pos, lane = np.unique(pairs["pos"], return_inverse=True)
+        ring = lanes["ring"][np.ix_(np.arange(m - periods + 1, m + 1) % periods, pos)]
+        re, im = ring.real, ring.imag
         held = np.zeros((periods + 1, pos.size), dtype=bool)
-        held[cycle["pairs"]["period"], cycle["pairs"]["pos"]] = True
+        held[pairs["period"], lane] = True
     else:
         return
     cols, period = _repeats(re, im, held)
@@ -623,13 +616,11 @@ def classify_lanes(
                 _tangent_block(lanes, lanes["re"][lo - 1 + row:hi + 1 + row],
                                lanes["im"][lo - 1 + row:hi + 1 + row])
             if m1 == cut and periods >= 1:  # the cycle test starts at the cut
-                pos = np.arange(lanes["id"].size)
-                lanes["cycle"] = {"pos": pos,
-                                  "ring": np.empty((periods, pos.size), dtype=complex),
-                                  "pairs": {"pos": np.empty(0, dtype=np.intp),
-                                            "period": np.empty(0, dtype=np.intp)}}
+                lanes["ring"] = np.empty((periods, lanes["id"].size), dtype=complex)
+                lanes["pairs"] = {"pos": np.empty(0, dtype=np.intp),
+                                  "period": np.empty(0, dtype=np.intp)}
             for j in range(max(first, cut), m1 + 1):
-                if "cycle" not in lanes:
+                if "pairs" not in lanes:
                     break
                 _cycle_step(lanes, _complex(lanes["re"][j + row], lanes["im"][j + row]), j, cut,
                             periods, analysis.cycle_tol)
@@ -647,10 +638,10 @@ def classify_lanes(
                     _, settled = _settled(np.ascontiguousarray(lanes.pop("tail").T),
                                           analysis.convergence_tol)
                     _decide(lanes, verdicts, {VERDICT_CONVERGES: settled})
-                if "cycle" in lanes:
-                    cycle = lanes.pop("cycle")
+                if "pairs" in lanes:
                     periodic = np.zeros(lanes["id"].size, dtype=bool)
-                    periodic[cycle["pos"][cycle["pairs"]["pos"]]] = True
+                    periodic[lanes.pop("pairs")["pos"]] = True
+                    del lanes["ring"]
                     _decide(lanes, verdicts, {VERDICT_PERIODIC: periodic})
                 if (lt < 0 or ls < 1) and lanes["id"].size:
                     raise ValueError("need n_transient >= 0 and n_sample >= 1")

@@ -333,32 +333,15 @@ def _run_equilibria(spec: RunSpec) -> dict:
 def _run_stability(spec: RunSpec) -> dict:
     from .stability import classify, equilibria, linearization
     params = _params(spec)
-    reports = []
-    for eq in equilibria(params):
-        coeffs = linearization(params, eq)
-        verdict = classify(params, eq)
-        reports.append({
-            "branch": eq.branch,
-            "z": eq.z_bar,
-            "A": coeffs.A,
-            "C": coeffs.C,
-            "clark_margin": coeffs.clark_margin,
-            "clark_holds": verdict.clark_holds,
-            "spectral": verdict.spectral,
-            "roots": verdict.roots,
-        })
+    reports = [{"branch": eq.branch, "z": eq.z_bar,
+                **vars(linearization(params, eq)), **vars(classify(params, eq))}
+               for eq in equilibria(params)]
     return {"kind": "stability", "reports": reports}
 
 
 def _run_trichotomy(spec: RunSpec) -> dict:
     from .invariants import trichotomy
-    result = trichotomy(_params(spec))
-    return {
-        "kind": "trichotomy",
-        "verdict": result.verdict,
-        "lhs": result.lhs,
-        "rhs": result.rhs,
-    }
+    return {"kind": "trichotomy", **vars(trichotomy(_params(spec)))}
 
 
 def _run_period(spec: RunSpec) -> dict:
@@ -462,14 +445,7 @@ def _run_identities(spec: RunSpec) -> dict:
         raise UsageError(f"--beta: {exc}") from None
     except ValueError:  # a singular orbit, or a seed that escaped: no iterate to check
         raise orbit.guard_error() from None
-    return {
-        "kind": "identities",
-        "status": orbit.status,
-        "j_recurrence": report.j_recurrence,
-        "gap_from_j": report.gap_from_j,
-        "gap_recursion": report.gap_recursion,
-        "gap_product": report.gap_product,
-    }
+    return {"kind": "identities", "status": orbit.status, **vars(report)}
 
 
 class _Command(NamedTuple):

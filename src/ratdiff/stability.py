@@ -265,7 +265,8 @@ def characteristic_roots(coeffs: CharCoeffs) -> tuple[complex, complex]:
     else:
         big = 0.5 * (-A - s)
     if big == 0:
-        # happens only when C == 0 and A == 0, handled above; guard anyway
+        # reached when C == 0 and each part of A is 0 or +-5e-324: A*A
+        # underflows, s == 0 and 0.5*(-A) rounds to 0; the roots are -A and 0
         return (-A, 0j)
     small = C / big
     if abs(small) > abs(big):

@@ -309,6 +309,12 @@ def test_roots_zero_coeffs():
     assert characteristic_roots(CharCoeffs.of(0, 0)) == (0, 0)
 
 
+@pytest.mark.parametrize("A", [5e-324 + 0j, -5e-324 + 0j])
+def test_roots_of_a_subnormal_linear_coefficient(A):
+    # A*A underflows, so the larger root computes as 0: the roots are -A and 0
+    assert characteristic_roots(CharCoeffs.of(A, 0j)) == (-A, 0j)
+
+
 def test_roots_pure_square():
     roots = characteristic_roots(CharCoeffs.of(0, -0.25))
     assert sorted(r.real for r in roots) == pytest.approx([-0.5, 0.5])
