@@ -12,7 +12,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # the modules whose public names __all__ lists, in order; each loads on first use
-_MODULES = ("core", "stability", "invariants", "analysis", "scan", "serialize")
+_MODULES = ("core", "stability", "invariants", "analysis", "lanes", "scan", "serialize")
 
 
 def __getattr__(name: str):

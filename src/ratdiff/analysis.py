@@ -8,7 +8,6 @@ Lyapunov exponent of the surviving bounded, aperiodic orbits.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,6 @@ from .core import (
     STATUS_COMPLETED,
     STATUS_ESCAPED,
     STATUS_SINGULAR,
-    _guard_block,
-    _lane_step,
     iterate,
     step,
     tangent,
@@ -46,7 +43,6 @@ __all__ = [
     "lyapunov_max",
     "lyapunov_divergence_oracle",
     "classify_orbit",
-    "classify_lanes",
 ]
 
 VERDICT_CONVERGES = "converges"
@@ -57,17 +53,6 @@ VERDICT_SINGULAR = "singular"
 VERDICT_UNDETERMINED = "undetermined"
 
 _GUARD_VERDICTS = {STATUS_SINGULAR: VERDICT_SINGULAR, STATUS_ESCAPED: VERDICT_UNBOUNDED}
-
-# classify_lanes steps its lanes in blocks that end at every multiple of
-# _CHECK, runs the guards and the tangent once per block, and at each
-# multiple of _CHECK compares each lane's state with its last _HISTORY
-# states (_retire)
-_HISTORY = 24
-_CHECK = 32
-
-# _tangent_block renormalises before a step that could take the tangent's
-# growth since the last renormalisation past this factor, up or down
-_GROWTH_LIMIT = 2.0 ** 900
 
 
 @dataclass(frozen=True)
@@ -334,324 +319,3 @@ def classify_orbit(
     if estimate.lambda_max > analysis.chaos_threshold:
         return OrbitClassification(VERDICT_CHAOTIC, lyapunov=estimate)
     return OrbitClassification(VERDICT_UNDETERMINED, lyapunov=estimate)
-
-
-def _keep(lanes: dict, keep: np.ndarray) -> None:
-    """Drop the lanes not in keep from every working array (lane axis last).
-
-    A nested dict holds entries that name lanes by their positions, in
-    its "pos" array: the entries of the lanes that leave go with them, and
-    the positions of the rest follow their lanes.
-    """
-    for key, value in lanes.items():
-        if isinstance(value, dict):
-            pos = value["pos"]
-            value["pos"] = (np.cumsum(keep) - 1)[pos]
-            _keep(value, keep[pos])
-        else:
-            # C-contiguous, as the float view of w in _tangent_block needs
-            lanes[key] = np.compress(keep, value, axis=-1)
-
-
-def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray]) -> None:
-    """Record the verdict of each masked lane and drop it from the working arrays."""
-    done = functools.reduce(np.logical_or, masks.values())
-    if done.any():
-        for verdict, mask in masks.items():
-            verdicts[lanes["id"][mask]] = verdict
-        _keep(lanes, ~done)
-
-
-def _walk(lanes: dict, steps: int) -> None:
-    """Step every lane `steps` times from the ring's rows 0 and 1, writing
-    each new point once into the ring's next row."""
-    re, im, ba_re, ba_im = (lanes[key] for key in ("re", "im", "ba_re", "ba_im"))
-    for r in range(1, steps + 1):  # rows r - 1 and r hold (z[m-1], z[m])
-        re[r + 1], im[r + 1] = _lane_step(ba_re, ba_im, re[r - 1:r + 1], im[r - 1:r + 1])
-
-
-def _complex(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The complex array with parts re and im, written into out if given."""
-    if out is None:
-        out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def _renormalise_after(beta: np.ndarray, z_re: np.ndarray, z_im: np.ndarray) -> set[int]:
-    """The steps after which _tangent_block renormalises the tangent.
-
-    z_re, z_im hold the parts of the points z[j0 - 1], ..., z[j1] (rows)
-    of every lane, for the steps j0, ..., j1.  In the max norm, step j
-    multiplies w by at most max(1, |s|*(1 + |q|)) and, as its inverse maps
-    (w1, w2) to (w2, w1/s + q*w2), divides it by at most
-    max(1, 1/|s| + |q|).  Over the lanes, with d = 1 + z[j] and d_prev =
-    1 + z[j-1], |s| <= max|beta| / min|d|, 1/|s| <= max|d| / min|beta| and
-    |q| <= (1 + max|d_prev|) / min|d|.  The last step renormalises, and
-    so does each step after which the product of these bounds since the
-    last renormalisation would pass _GROWTH_LIMIT.  Lanes with beta = 0
-    stay out of min|beta|: their tangent is 0 after two steps at any
-    scale.  A square of |d| that overflows or underflows only makes a
-    bound infinite, which renormalises at every step.
-    """
-    b_abs = np.abs(beta)
-    b_max = np.maximum.reduce(b_abs, initial=0.0)
-    b_min = np.minimum.reduce(b_abs, where=b_abs > 0, initial=np.inf)
-    d_sq = 1.0 + z_re
-    d_sq *= d_sq
-    d_sq += z_im * z_im
-    d_min = np.sqrt(np.minimum.reduce(d_sq[1:], axis=1, initial=np.inf))
-    d_max = np.sqrt(np.maximum.reduce(d_sq, axis=1, initial=0.0))
-    q = (1 + d_max[:-1]) / d_min
-    bounds = np.maximum(b_max / d_min * (1 + q), d_max[1:] / b_min + q)
-    after, growth = {bounds.size - 1}, 1.0
-    for k, bound in enumerate(bounds.tolist()):
-        if k and not growth * bound <= _GROWTH_LIMIT:  # a nan bound renormalises too
-            after.add(k - 1)
-            growth = 1.0
-        growth *= max(bound, 1.0)
-    return after
-
-
-def _tangent_block(lanes: dict, z_re: np.ndarray, z_im: np.ndarray) -> None:
-    """lyapunov_max's tangent steps along a block of points, on every lane.
-
-    z_re, z_im hold the parts of the points z[j0 - 1], ..., z[j1] (rows)
-    of each lane.  Step j takes the tangent w = (w1, w2) along (z[j],
-    z[j-1]) to (s*(w2 - q*w1), w1), with d = 1 + z[j], q = z[j-1]/d and
-    s = beta/d: the Jacobian's a11 = -s*q and a12 = s.  The log of w's
-    growth is added to log_sum, and w renormalised, after the steps
-    _renormalise_after picks.
-
-    numpy complex arithmetic rounds differently from CPython's, which is
-    harmless here: lambda is only compared with chaos_threshold, never
-    emitted.  The Jacobian's pole guard needs no check: the orbit guard
-    already passed every point the tangent visits.  numpy's complex
-    multiply is not commutative bit for bit, so the operands keep their
-    order.
-    """
-    after = _renormalise_after(lanes["b"], z_re, z_im)
-    d = np.empty(z_re[1:].shape, dtype=complex)  # 1 + z[j], as numpy's complex sum rounds it
-    np.add(1.0, z_re[1:], out=d.real)
-    np.add(0.0, z_im[1:], out=d.imag)
-    s = lanes["b"] / d  # numpy buffers the broadcast beta: before q, for the peak memory
-    q = _complex(z_re[:-1], z_im[:-1])
-    np.divide(q, d, out=q)
-    del d
-    w1, w2, log_sum = lanes["w1"], lanes["w2"], lanes["log_sum"]
-    term = np.empty_like(w1)
-    for k, (q_k, s_k) in enumerate(zip(q, s)):
-        np.multiply(q_k, w1, out=term)
-        np.subtract(w2, term, out=w2)
-        np.multiply(s_k, w2, out=w2)
-        w1, w2 = w2, w1
-        if k in after:
-            growth = np.hypot(np.abs(w1), np.abs(w2))
-            log_sum += np.log(growth)
-            for w in (w1, w2):  # real divisions of both parts
-                parts = w.view(float).reshape(-1, 2)
-                parts /= growth[:, None]
-    lanes["w1"], lanes["w2"] = w1, w2
-
-
-def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol: float) -> None:
-    """detect_cycle's test at point m (z, over every lane) of the tail points[cut:].
-
-    lanes["ring"] keeps every lane's last `periods` points, point k in row
-    k % periods, and a (period, lane) pair stays in lanes["pairs"] while
-    every pair of tail points that far apart has held.  Once every period
-    has been tried and no pair is left, the test ends.
-    """
-    ring, pairs = lanes["ring"], lanes["pairs"]
-    period, lane = pairs["period"], pairs["pos"]
-    if 1 <= m - cut <= periods:  # period m - cut meets its first pair
-        period = np.concatenate((period, np.full(z.size, m - cut)))
-        lane = np.concatenate((lane, np.arange(z.size)))
-    past = ring[(m - period) % periods, lane]
-    held = np.abs(z[lane] - past) <= tol * (1 + np.abs(past))
-    pairs["period"], pairs["pos"] = period[held], lane[held]
-    ring[m % periods] = z
-    if m - cut >= periods and not pairs["pos"].size:
-        del lanes["ring"], lanes["pairs"]
-
-
-def _repeats(re: np.ndarray, im: np.ndarray,
-             held: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(columns, periods) of the lanes whose last state repeats within re, im.
-
-    re, im hold the parts of points[m - rows + 1 .. m] in their rows, in
-    order; a lane's period is the smallest P with (points[m - 1 - P],
-    points[m - P]) equal bit for bit to (points[m - 1], points[m]) and,
-    when held is given, held[P, lane].  Comparing bits keeps 0.0 and -0.0
-    apart, as the map's arithmetic may.
-    """
-    rows = re.shape[0]
-    same = True  # same[P - 1, lane]
-    for part in (re, im):
-        bits = part.view(np.int64)
-        # rows rows - 1 - P and rows - 2 - P hold points[m - P] and points[m - 1 - P]
-        same = same & (bits[rows - 2:0:-1] == bits[-1]) & (bits[rows - 3::-1] == bits[-2])
-    if held is not None:
-        same &= held[1:rows - 1]
-    cols = np.flatnonzero(same.any(axis=0))
-    return cols, same[:, cols].argmax(axis=0) + 1
-
-
-def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
-            window: range | None, analysis: AnalysisSettings, row: int) -> None:
-    """Decide the lanes whose state at point m repeats bit for bit.
-
-    When (points[m - 1], points[m]) equals (points[m - 1 - P],
-    points[m - P]) bit for bit, every later point repeats with period P
-    from s = m - P - 1 on, and no guard trips again.  P is the smallest
-    such period among the recent points: before the cut, the last
-    _HISTORY + 2 points, in the ring's rows up to m + row; after it, the
-    cycle test's ring, where P must also be a period whose pair the lane
-    still holds.  The lane converges when classify_orbit's window lies at
-    or after s and settles, rebuilt from the cycle with one index
-    expression in either ring.  Otherwise it is periodic when
-    detect_cycle's test passes with distance 0 for the rest of the tail,
-    that is when P is a period the test tries.  Any other lane stays.
-    """
-    if m < cut:  # the cycle starts within the cut
-        rows = slice(m - _HISTORY - 1 + row, m + 1 + row)
-        re, im, held = lanes["re"][rows], lanes["im"][rows], None
-        pos = np.arange(lanes["id"].size)
-    elif "pairs" in lanes and m - cut >= periods >= 3:  # two states fit in the ring
-        # the ring's columns of the lanes that hold a pair, rows in order
-        pairs = lanes["pairs"]
-        pos, lane = np.unique(pairs["pos"], return_inverse=True)
-        ring = lanes["ring"][np.ix_(np.arange(m - periods + 1, m + 1) % periods, pos)]
-        re, im = ring.real, ring.imag
-        held = np.zeros((periods + 1, pos.size), dtype=bool)
-        held[pairs["period"], lane] = True
-    else:
-        return
-    cols, period = _repeats(re, im, held)
-    onset = m - period - 1
-    cycled = (period <= periods) & (0 <= analysis.cycle_tol)
-    settled = np.zeros(cols.size, dtype=bool)
-    if window is not None:
-        known = np.flatnonzero(onset <= window.start)
-        # window point k is points[s + (k - s) % P], in row k - m + rows - 1
-        s, p, col = onset[known, None], period[known, None], cols[known, None]
-        k = s + (np.array(window) - s) % p - (m - re.shape[0] + 1)
-        _, settled[known] = _settled(_complex(re[k, col], im[k, col]), analysis.convergence_tol)
-        cycled &= onset <= window.start
-    masks = {}
-    for verdict, mask in ((VERDICT_CONVERGES, settled), (VERDICT_PERIODIC, cycled & ~settled)):
-        masks[verdict] = np.zeros(lanes["id"].size, dtype=bool)
-        masks[verdict][pos[cols[mask]]] = True
-    _decide(lanes, verdicts, masks)
-
-
-def classify_lanes(
-    alpha,
-    beta,
-    z_minus1,
-    z_0,
-    settings: IterationSettings = IterationSettings(),
-    analysis: AnalysisSettings = AnalysisSettings(),
-) -> list[str]:
-    """classify_orbit's verdict for many orbits, advanced in lockstep.
-
-    The four complex arrays (or scalars) broadcast to one flat axis of
-    lanes; verdict i equals classify_orbit(Parameters(alpha[i], beta[i]),
-    OrbitSeed(z_minus1[i], z_0[i]), settings, analysis).verdict.
-
-    Each arithmetic step is one numpy operation over every undecided
-    lane, and no lane's orbit is stored whole.  One loop steps every
-    lane, settings.max_steps steps or on to the end of the Lyapunov
-    reference orbit when that is longer, in blocks that end at every
-    multiple of _CHECK, at the transient cut, where classify_orbit's
-    orbit ends and at the last point.  Per point, the map step only
-    writes the new point into a ring that holds the block and the two
-    points before it.  A decided lane leaves the working arrays at once.
-    At each block end, the lanes that tripped a guard within the block
-    leave; the tangent estimate and, from the cut on, detect_cycle's test
-    run along the block's points; and at a multiple of _CHECK the lanes
-    whose state repeats bit for bit leave with the verdict the repeat
-    fixes (_retire).  Where classify_orbit's orbit ends, the settled
-    windows and the locked cycles leave.
-    """
-    values = [np.ravel(v) for v in np.broadcast_arrays(
-        *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0)))]
-    count = values[0].size
-    # the working arrays are copies, lane axis last: the parts of (beta,
-    # alpha) in rows, as _lane_step takes them, and the ring of points,
-    # whose row i is point m0 - 1 + i while the block after point m0 runs
-    lanes = {"ba_re": np.stack((values[1].real, values[0].real)),
-             "ba_im": np.stack((values[1].imag, values[0].imag)),
-             "re": np.zeros((_CHECK + 2, count)), "im": np.zeros((_CHECK + 2, count)),
-             "b": values[1].copy(), "id": np.arange(count),
-             "w1": np.ones(count, dtype=complex),  # tangent along (z[n], z[n-1])
-             "w2": np.zeros(count, dtype=complex), "log_sum": np.zeros(count)}
-    lanes["re"][:2] = values[2].real, values[3].real
-    lanes["im"][:2] = values[2].imag, values[3].imag
-    verdicts = np.full(count, VERDICT_UNDETERMINED, dtype=object)
-    n = settings.max_steps + 2  # points of a completed orbit, seed included
-    cut = _transient_cut(n, analysis.max_period)
-    periods = min(analysis.max_period, n - cut - 1)  # detect_cycle tries 1..periods
-    lt, ls = analysis.lyapunov_transient, analysis.lyapunov_sample
-    last = max(n - 1, lt + ls + 1)  # lyapunov_max's reference orbit holds points[:lt + ls + 2]
-    window = range(n)[-analysis.window:] if n >= analysis.window else None
-    tol, esc = settings.singular_tol, settings.escape_radius
-
-    with np.errstate(all="ignore"):
-        outside = [~(np.hypot(z.real, z.imag) <= esc) for z in values[2:]]
-        _decide(lanes, verdicts, {VERDICT_UNBOUNDED: outside[0] | outside[1]})
-        m0, first = 1, 0  # the block steps on from point m0; its end reads from point first
-        for m1 in sorted({*range(_CHECK, last + 1, _CHECK), cut, n - 1, last}):
-            if not lanes["id"].size:
-                return verdicts.tolist()
-            size = m1 - m0
-            _walk(lanes, size)
-            singular, escaped = _guard_block(lanes["re"][1:size + 2], lanes["im"][1:size + 2],
-                                             tol, esc)
-            if singular is not None:
-                _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped})
-            row = 1 - m0  # point j is in ring row j + row
-            lo, hi = max(first, lt + 1, 1), min(m1, lt + ls)
-            if lo <= hi:  # the tangent steps lo..hi read points lo - 1..hi
-                _tangent_block(lanes, lanes["re"][lo - 1 + row:hi + 1 + row],
-                               lanes["im"][lo - 1 + row:hi + 1 + row])
-            if m1 == cut and periods >= 1:  # the cycle test starts at the cut
-                lanes["ring"] = np.empty((periods, lanes["id"].size), dtype=complex)
-                lanes["pairs"] = {"pos": np.empty(0, dtype=np.intp),
-                                  "period": np.empty(0, dtype=np.intp)}
-            for j in range(max(first, cut), m1 + 1):
-                if "pairs" not in lanes:
-                    break
-                _cycle_step(lanes, _complex(lanes["re"][j + row], lanes["im"][j + row]), j, cut,
-                            periods, analysis.cycle_tol)
-            if window and window.start <= m1 < n:  # n - 1 ends a block
-                lo = max(first, window.start)
-                if "tail" not in lanes:
-                    lanes["tail"] = np.empty((len(window), lanes["id"].size), dtype=complex)
-                rows = slice(lo + row, m1 + row + 1)
-                _complex(lanes["re"][rows], lanes["im"][rows],
-                         lanes["tail"][lo - window.start:m1 - window.start + 1])
-            if m1 % _CHECK == 0 and m1 < n - 1:
-                _retire(lanes, verdicts, m1, cut, periods, window, analysis, row)
-            if m1 == n - 1:  # the orbit classify_orbit iterates is complete
-                if window is not None:
-                    _, settled = _settled(np.ascontiguousarray(lanes.pop("tail").T),
-                                          analysis.convergence_tol)
-                    _decide(lanes, verdicts, {VERDICT_CONVERGES: settled})
-                if "pairs" in lanes:
-                    periodic = np.zeros(lanes["id"].size, dtype=bool)
-                    periodic[lanes.pop("pairs")["pos"]] = True
-                    del lanes["ring"]
-                    _decide(lanes, verdicts, {VERDICT_PERIODIC: periodic})
-                if (lt < 0 or ls < 1) and lanes["id"].size:
-                    raise ValueError("need n_transient >= 0 and n_sample >= 1")
-            for key in ("re", "im"):  # the block's last two points start the next
-                lanes[key][:2] = lanes[key][size:size + 2]
-            m0, first = m1, m1 + 1
-
-        # a tangent that collapsed (growth 0, as beta = 0 gives) left log_sum
-        # at -inf, or at nan from the next renormalisation on: never above
-        # the threshold
-        lam = lanes["log_sum"] / ls
-        _decide(lanes, verdicts, {VERDICT_CHAOTIC: lam > analysis.chaos_threshold})
-    return verdicts.tolist()

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "GuardTripped",
     "Parameters",
@@ -156,10 +154,10 @@ class ComplexRect:
 
     def __post_init__(self):
         bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not (np.isfinite(bounds).all() and self.re_min <= self.re_max
+        if not (all(map(math.isfinite, bounds)) and self.re_min <= self.re_max
                 and self.im_min <= self.im_max):
             raise ValueError("rectangle bounds must be finite and ordered")
-        if not np.isfinite((self.re_span, self.im_span)).all():
+        if not (math.isfinite(self.re_span) and math.isfinite(self.im_span)):
             raise ValueError("rectangle spans must be finite")
 
     @property
@@ -239,106 +237,6 @@ def iterate(
 
     return Orbit(seed, tuple(points), STATUS_COMPLETED)
 
-
-def _prod(a_re, a_im, b_re, b_im):
-    """CPython's _Py_c_prod on real and imaginary parts (floats or arrays)."""
-    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
-
-
-def _quot(a_re, a_im, b_re, b_im):
-    """CPython's _Py_c_quot (Smith's method) on parts, the branch picked per lane.
-
-    A zero divisor gives nan or inf where CPython raises
-    ZeroDivisionError; callers mask those lanes.  Call under
-    np.errstate(all="ignore"): the branch not taken may divide by zero.
-    """
-    real_major = np.abs(b_re) >= np.abs(b_im)
-    major = np.where(real_major, b_re, b_im)
-    minor = np.where(real_major, b_im, b_re)
-    ratio = minor / major
-    denom = minor * ratio
-    denom += major
-    re_ratio, im_ratio = a_re * ratio, a_im * ratio
-    re = np.where(real_major, a_re + im_ratio, re_ratio + a_im)
-    re /= denom
-    im = np.where(real_major, a_im - re_ratio, im_ratio - a_re)
-    im /= denom
-    return re, im
-
-
-def _lane_step(ba_re, ba_im, pc_re, pc_im):
-    """z_next of many orbits at once, each lane one orbit, without guards.
-
-    ba_re, ba_im are the real and imaginary parts of the rows (beta,
-    alpha), and pc_re, pc_im those of (z_prev, z_curr): float64 arrays of
-    shape (2, lanes), so that one _prod gives both products.  Returns
-    (x_re, x_im), the parts of z_next; _guard_block decides the guards
-    for a block of such steps.
-
-    The real formulas repeat CPython's complex product and quotient
-    (_prod, _quot) operation by operation, so each lane gets the bits
-    step() gives.  numpy's complex multiply, divide and abs round
-    differently in a large share of cases, which chaotic orbits would
-    amplify.  Call under np.errstate(all="ignore").
-    """
-    # alpha + alpha*z_curr + beta*z_prev, summed left to right
-    prod_re, prod_im = _prod(ba_re, ba_im, pc_re, pc_im)
-    n_re = prod_re[1] + ba_re[1]
-    n_re += prod_re[0]
-    n_im = prod_im[1] + ba_im[1]
-    n_im += prod_im[0]
-    # 1 + z_curr promotes 1 to 1+0j, so -0.0 imaginary parts become +0.0
-    return _quot(n_re, n_im, 1.0 + pc_re[1], 0.0 + pc_im[1])
-
-
-def _bounded(x, bound) -> bool:
-    """Every element of x lies in [-bound, bound]; False where one is nan.
-
-    ufunc reductions, as ndarray.min and max add a Python call; the
-    initial values answer for an empty x.
-    """
-    return bool(np.maximum.reduce(x, axis=None, initial=-np.inf) <= bound
-                and np.minimum.reduce(x, axis=None, initial=np.inf) >= -bound)
-
-
-def _guard_block(z_re, z_im, singular_tol, escape_radius):
-    """iterate()'s guards over a block of steps of many orbits at once.
-
-    z_re, z_im are the parts of the points z[m0], ..., z[m1] (rows) of
-    each lane (columns), float64 arrays of one shape, and the block's
-    steps are (z[j-1], z[j]) -> z[j+1] for m0 <= j < m1.  Returns
-    (singular, escaped): the lanes whose first trip in iterate's order
-    is the pole (|1 + z[j]| below singular_tol) or an escape (z[j+1]
-    outside the escape radius or not finite).  The pole test at z[j]
-    comes before the escape test at z[j+1], which comes before the pole
-    test at z[j+1].  Both masks are None when no lane trips.
-
-    hypot(u, v) lies between max(|u|, |v|) and sqrt(2) times it, so no
-    lane is singular while every |Re(1 + z[j])| is at least
-    singular_tol, and none escapes while every part of every z[j+1] is at
-    most escape_radius / 2.  Only the points that fail these bounds (a
-    nan fails both) get their moduli computed.  Call under
-    np.errstate(all="ignore").
-    """
-    d_re = 1.0 + z_re[:-1]
-    np.abs(d_re, out=d_re)
-    x_re, x_im = z_re[1:], z_im[1:]
-    half = escape_radius / 2
-    if (np.minimum.reduce(d_re, axis=None, initial=np.inf) >= singular_tol
-            and _bounded(x_re, half) and _bounded(x_im, half)):
-        return None, None
-    near = ~(d_re >= singular_tol)
-    far = ~((-half <= x_re) & (x_re <= half) & (-half <= x_im) & (x_im <= half))
-    # hypot(1.0 + Re z, 0.0 + Im z) is hypot(|1.0 + Re z|, Im z)
-    near[near] = np.hypot(d_re[near], z_im[:-1][near]) < singular_tol
-    far[far] = ~(np.hypot(x_re[far], x_im[far]) <= escape_radius)
-    # interleave: pole test at row i, then escape test at row i, then row i + 1
-    trips = np.stack((near, far), axis=1).reshape(-1, near.shape[-1])
-    tripped = np.logical_or.reduce(trips, axis=0)
-    if not tripped.any():
-        return None, None
-    pole = trips.argmax(axis=0) % 2 == 0
-    return tripped & pole, tripped & ~pole
 
 
 def tangent(

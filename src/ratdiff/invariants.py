@@ -183,14 +183,11 @@ def check_identities(params: Parameters, orbit: Orbit) -> IdentityReport:
         if n + 1 < n_max:
             j_next = _j(alpha, z(n), z(n + 1))
             r8 = max(r8, _rel(j_next, (alpha + 1) / denom * j_curr))
-        else:
-            j_next = None
+            j_curr = j_next
         if n >= 1:
             r10 = max(r10, _rel(gap, (alpha + 1) / denom * (z(n) - z(n - 2))))
             prod *= (alpha + 1) / denom
             r11 = max(r11, _rel(gap, gap0 * prod))
-        if j_next is not None:
-            j_curr = j_next
     return IdentityReport(
         j_recurrence=r8, gap_from_j=r9, gap_recursion=r10, gap_product=r11
     )

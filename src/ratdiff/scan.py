@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AnalysisSettings, classify_lanes
+from .analysis import AnalysisSettings
 from .core import (STATUS_SINGULAR, ComplexRect, GuardTripped, IterationSettings, OrbitSeed,
                    Parameters)
-from .stability import BRANCH_MINUS, BRANCH_PLUS, _clark_margin_lanes
+from .lanes import _clark_margin_lanes, classify_lanes
+from .stability import BRANCH_MINUS, BRANCH_PLUS
 
 __all__ = [
     "ComplexRect",

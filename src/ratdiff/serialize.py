@@ -18,8 +18,6 @@ import math
 import re
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .core import ComplexRect
 
 __all__ = [
@@ -358,6 +356,7 @@ def _emit_svg(payload: dict) -> str:
 
 
 def _svg_orbit(payload: dict) -> str:
+    import numpy as np  # here, as JSON and CSV emission need no numpy
     canvas = _Canvas(_SVG_SIZE, _SVG_SIZE)
     # a non-finite point has no place in the plane: it is left out of the
     # window, the polyline and the circles
@@ -399,6 +398,7 @@ def _svg_grid(payload: dict) -> str:
 
 
 def _svg_scan(payload: dict) -> str:
+    import numpy as np
     width = 2 * _SVG_SIZE
     canvas = _Canvas(width, _SVG_SIZE)
     alpha_max, beta_max = payload["argmax"]

@@ -14,12 +14,9 @@ of lambda^2 + A*lambda + C = 0 supplements it.
 from __future__ import annotations
 
 import cmath
-import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import STATUS_ESCAPED, STATUS_SINGULAR, GuardTripped, Parameters, _prod, _quot, step
+from .core import STATUS_ESCAPED, STATUS_SINGULAR, GuardTripped, Parameters, step
 
 __all__ = [
     "BRANCH_MINUS",
@@ -172,83 +169,6 @@ def clark_margin_at(params: Parameters, branch: str) -> float:
     return linearization(params, eq).clark_margin
 
 
-def _square(re, im):
-    """z**2 as CPython computes it: c_powu's (1, 0) * (z * z)."""
-    return _prod(1.0, 0.0, *_prod(re, im, re, im))
-
-
-def _sqrt(re, im):
-    """cmath.sqrt on finite parts, operation by operation.
-
-    Below DBL_MIN the parts are scaled by 2**53 and the root by 2**-27
-    (exact, like CPython's ldexp) so that hypot stays normal.  Non-finite
-    parts give a non-finite root where cmath returns its special values.
-    """
-    ax, ay = np.abs(re), np.abs(im)
-    tiny = (ax < sys.float_info.min) & (ay < sys.float_info.min)
-    ax_up = ax * 2.0**53
-    s = np.where(tiny, np.sqrt(ax_up + np.hypot(ax_up, ay * 2.0**53)) * 2.0**-27,
-                 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
-    d = ay / (2.0 * s)
-    zero = (re == 0) & (im == 0)
-    upper = re >= 0
-    return (np.where(zero, 0.0, np.where(upper, s, d)),
-            np.where(zero, im, np.copysign(np.where(upper, d, s), im)))
-
-
-def _clark_margin_lanes(alpha_re, alpha_im, beta_re, beta_im, branch):
-    """clark_margin_at for many parameter pairs at once: (margin, ok).
-
-    The arguments are float64 arrays of the parts of alpha and beta, one
-    lane per pair.  The arithmetic repeats CPython's complex operations
-    on the parts (ints promote to (x, 0.0), z**2, Smith's quotient,
-    cmath.sqrt, abs as hypot), so margin[i] has the bits of
-    clark_margin_at(Parameters(alpha[i], beta[i]), branch) wherever
-    ok[i].  ok is False exactly where that call raises GuardTripped (an
-    equilibrium at the pole or not finite, or an overflow) or returns a
-    non-finite value.  numpy's complex multiply, divide, sqrt and abs round
-    differently, so they are not used.
-    """
-    a_re, a_im, b_re, b_im = alpha_re, alpha_im, beta_re, beta_im
-    alpha_zero = (a_re == 0) & (a_im == 0)
-    beta_zero = (b_re == 0) & (b_im == 0)
-    with np.errstate(all="ignore"):
-        # equilibria: D = (1 + alpha)**2 + 2*(alpha - 1)*beta + beta**2
-        s1_re, s1_im = _square(1.0 + a_re, 0.0 + a_im)
-        t_re, t_im = _prod(*_prod(2.0, 0.0, a_re - 1.0, a_im - 0.0), b_re, b_im)
-        s2_re, s2_im = _square(b_re, b_im)
-        # a non-finite D makes zbar, 1 + zbar and A non-finite, as in the
-        # scalar path, so cmath's special values need no copy
-        root_re, root_im = _sqrt((s1_re + t_re) + s2_re, (s1_im + t_im) + s2_im)
-        # zbar = 0.5*(-1 + alpha + beta -/+ sqrt(D)); for alpha = 0, 0j or beta - 1
-        pick = np.subtract if branch == BRANCH_MINUS else np.add
-        z_re, z_im = _prod(0.5, 0.0, pick((-1.0 + a_re) + b_re, root_re),
-                           pick((0.0 + a_im) + b_im, root_im))
-        if branch == BRANCH_MINUS:
-            z_re, z_im = np.where(alpha_zero, 0.0, z_re), np.where(alpha_zero, 0.0, z_im)
-        else:
-            z_re = np.where(alpha_zero, b_re - 1.0, z_re)
-            z_im = np.where(alpha_zero, b_im - 0.0, z_im)
-        # complex ** raises OverflowError on an infinite part, and a
-        # non-finite zbar (D can be nan without one) raises as well
-        equilibria_escape = (~alpha_zero & (np.isinf(s1_re) | np.isinf(s1_im)
-                                            | np.isinf(s2_re) | np.isinf(s2_im))
-                             | ~(np.isfinite(z_re) & np.isfinite(z_im)))
-
-        # linearization: A = beta*zbar/(1 + zbar)**2, C = -beta/(1 + zbar)
-        d_re, d_im = 1.0 + z_re, 0.0 + z_im
-        modulus = np.hypot(d_re, d_im)
-        A_re, A_im = _quot(*_prod(b_re, b_im, z_re, z_im), *_prod(d_re, d_im, d_re, d_im))
-        C_re, C_im = _quot(-b_re, -b_im, d_re, d_im)
-        margin = np.hypot(A_re, A_im) + np.hypot(C_re, C_im)
-    # abs(1 + zbar) raises OverflowError where finite parts have an infinite modulus
-    modulus_overflows = np.isfinite(d_re) & np.isfinite(d_im) & np.isinf(modulus)
-    linearized = ~modulus_overflows & ~(modulus < _SINGULAR_TOL) & np.isfinite(margin)
-    # beta = 0 returns 0.0 before the pole and modulus checks
-    ok = ~equilibria_escape & (beta_zero | linearized)
-    return np.where(beta_zero, 0.0, margin), ok
-
-
 def characteristic_roots(coeffs: CharCoeffs) -> tuple[complex, complex]:
     """Roots of lambda^2 + A*lambda + C = 0, larger magnitude first.
 
@@ -259,15 +179,12 @@ def characteristic_roots(coeffs: CharCoeffs) -> tuple[complex, complex]:
     if A == 0 and C == 0:
         return (0j, 0j)
     s = cmath.sqrt(A * A - 4 * C)
-    # pick the sign that avoids cancellation in -A -/+ s
-    if abs(A - s) > abs(A + s):
+    if C == 0:  # the roots are -A and 0, where A*A may underflow or overflow
+        big = -A
+    elif abs(A - s) > abs(A + s):  # pick the sign that avoids cancellation in -A -/+ s
         big = 0.5 * (-A + s)
     else:
         big = 0.5 * (-A - s)
-    if big == 0:
-        # reached when C == 0 and each part of A is 0 or +-5e-324: A*A
-        # underflows, s == 0 and 0.5*(-A) rounds to 0; the roots are -A and 0
-        return (-A, 0j)
     small = C / big
     if abs(small) > abs(big):
         big, small = small, big

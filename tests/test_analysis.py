@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratdiff.analysis
+import ratdiff.lanes
 from ratdiff import (
     AnalysisSettings,
     GuardTripped,
@@ -417,13 +418,13 @@ def test_lane_tangent_step_matches_the_plain_expression_bit_for_bit():
     beta, w1, w2 = draw(), draw(), draw()
     lanes = {"b": beta, "w1": w1.copy(), "w2": w2.copy(), "log_sum": np.zeros(n)}
     log_sum = np.zeros(n)
-    steps = ratdiff.analysis._CHECK
+    steps = ratdiff.lanes._CHECK
     for _ in range(3):
         z = draw(steps + 1)
         z_re, z_im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
         # these bounds let the whole block run before it renormalises
-        assert ratdiff.analysis._renormalise_after(beta, z_re, z_im) == {steps - 1}
-        ratdiff.analysis._tangent_block(lanes, z_re, z_im)
+        assert ratdiff.lanes._renormalise_after(beta, z_re, z_im) == {steps - 1}
+        ratdiff.lanes._tangent_block(lanes, z_re, z_im)
         for z_prev, z_curr in zip(z[:-1], z[1:]):
             d = 1 + z_curr
             w1, w2 = beta / d * (w2 - z_prev / d * w1), w1
@@ -447,13 +448,13 @@ _EDGES = AnalysisSettings(lyapunov_transient=20, lyapunov_sample=100)
 def _count_lanes(monkeypatch) -> list[int]:
     """The number of lanes in each later _lane_step call, in call order."""
     taken = []
-    real = ratdiff.analysis._lane_step
+    real = ratdiff.lanes._lane_step
 
     def counting(ba_re, *rest):
         taken.append(ba_re.shape[-1])
         return real(ba_re, *rest)
 
-    monkeypatch.setattr(ratdiff.analysis, "_lane_step", counting)
+    monkeypatch.setattr(ratdiff.lanes, "_lane_step", counting)
     return taken
 
 
@@ -530,7 +531,7 @@ def test_a_decided_lane_is_stepped_no_more(monkeypatch):
     assert verdicts == [classify_orbit(p, s, iteration, _EDGES).verdict for p, s in lanes]
     assert verdicts[0] == "unbounded"
     assert all(v in ("chaotic", "undetermined") for v in verdicts[1:])
-    first = ratdiff.analysis._CHECK - 1
+    first = ratdiff.lanes._CHECK - 1
     # the three run on to the end of the reference orbit, point 121
     assert taken == [4] * first + [3] * (120 - first)
 
@@ -568,7 +569,7 @@ def test_lane_tangent_renormalises_within_a_block(beta, after):
     params = Parameters(0.2278 + 0.321j, beta)
     points = iterate(params, _CHAOS_SEED, IterationSettings(max_steps=40)).points
     z = np.array(points[8:41])
-    assert sorted(ratdiff.analysis._renormalise_after(
+    assert sorted(ratdiff.lanes._renormalise_after(
         np.array([beta]), z.real[:, None], z.imag[:, None])) == after
     _lanes_agree_on_the_exponent(params, _CHAOS_SEED, 200, 20, 150)
 
@@ -597,13 +598,13 @@ _QUICK = AnalysisSettings(lyapunov_transient=50, lyapunov_sample=100)
 def _lane_and_orbit(monkeypatch, beta, seed, steps, analysis=_QUICK):
     """(classify_lanes' verdict, classify_orbit's verdict, steps the lane took)."""
     taken = []
-    real = ratdiff.analysis._lane_step
+    real = ratdiff.lanes._lane_step
 
     def counting(ba_re, *rest):
         taken.append(ba_re.shape[-1])
         return real(ba_re, *rest)
 
-    monkeypatch.setattr(ratdiff.analysis, "_lane_step", counting)
+    monkeypatch.setattr(ratdiff.lanes, "_lane_step", counting)
     iteration = IterationSettings(max_steps=steps)
     [verdict] = classify_lanes(_ALPHA, beta, seed.z_minus1, seed.z_0, iteration, analysis)
     expected = classify_orbit(Parameters(_ALPHA, beta), seed, iteration, analysis).verdict
@@ -650,7 +651,7 @@ def test_lanes_rebuild_the_window_of_a_retired_lane_bit_for_bit(monkeypatch, bet
 
 
 def test_history_repeats_compare_bits_and_report_the_smallest_period():
-    rows = ratdiff.analysis._HISTORY + 2
+    rows = ratdiff.lanes._HISTORY + 2
     m = 5 * rows + 3
     k = np.arange(m - rows + 1, m + 1)  # the points the history holds, in order
     lanes = [
@@ -660,14 +661,14 @@ def test_history_repeats_compare_bits_and_report_the_smallest_period():
     ]
     hist = np.array(lanes).T
     re, im = np.ascontiguousarray(hist.real), np.ascontiguousarray(hist.imag)
-    cols, periods = ratdiff.analysis._repeats(re, im)
+    cols, periods = ratdiff.lanes._repeats(re, im)
     assert cols.tolist() == [0, 1] and periods.tolist() == [3, 2]
     # with a held mask, only the periods a lane holds count: the period-3
     # lane that holds only period 6 reports 6, and a lane that holds
     # nothing is not reported
     held = np.zeros((rows, 3), dtype=bool)
     held[6, 0] = held[2, 2] = True
-    cols, periods = ratdiff.analysis._repeats(re, im, held)
+    cols, periods = ratdiff.lanes._repeats(re, im, held)
     assert cols.tolist() == [0] and periods.tolist() == [6]
 
 
@@ -701,7 +702,7 @@ def test_lanes_retire_a_cycle_before_the_cut(monkeypatch):
 def test_lanes_retire_a_cycle_longer_than_the_history(monkeypatch):
     # period 48 from point 971 on, past the history of the last states;
     # the cycle test's ring finds it once every period has been tried
-    assert ratdiff.analysis._HISTORY < 48
+    assert ratdiff.lanes._HISTORY < 48
     assert _lane_and_orbit(monkeypatch, -0.234375 - 1.171875j, _SEED, 4000) == (
         "periodic", "periodic", 2143)
 
@@ -730,5 +731,5 @@ def test_lanes_before_the_first_check(monkeypatch):
     # stays to the end, where the orbit is shorter than the window
     beta = -0.046875 - 0.890625j
     z = _fixed_point_orbit(beta)[-1]
-    assert ratdiff.analysis._CHECK > 21
+    assert ratdiff.lanes._CHECK > 21
     assert _lane_and_orbit(monkeypatch, beta, OrbitSeed(z, z), 20) == ("periodic", "periodic", 20)

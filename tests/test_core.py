@@ -15,7 +15,8 @@ from ratdiff import (
     step,
     tangent,
 )
-from ratdiff.core import _guard_block, _lane_step, _within
+from ratdiff.core import _within
+from ratdiff.lanes import _guard_block, _lane_step
 
 
 def test_step_zero_parameters():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ratdiff.analysis
+import ratdiff.lanes
 from ratdiff import (AnalysisSettings, IterationSettings, OrbitSeed, Parameters, classify_lanes,
                      classify_orbit, iterate)
 
@@ -83,7 +83,7 @@ def test_permuting_the_lanes_permutes_the_verdicts(batch, data):
 @_SETTINGS
 @given(data=st.data())
 def test_chunks_joined_equal_one_call(size, data):
-    assert ratdiff.analysis._CHECK < 33
+    assert ratdiff.lanes._CHECK < 33
     # more lanes than one chunk, and few enough chunks to stay quick
     lanes = [lane for lane, _ in data.draw(st.lists(_LANE, min_size=size + 1,
                                                     max_size=3 * size + 10))]

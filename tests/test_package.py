@@ -9,7 +9,7 @@ import pytest
 
 import ratdiff
 
-_MODULES = ("core", "stability", "invariants", "analysis", "scan", "serialize")
+_MODULES = ("core", "stability", "invariants", "analysis", "lanes", "scan", "serialize")
 
 # ratdiff.__all__ as the eager package built it, module by module
 PUBLIC = [
@@ -31,7 +31,9 @@ PUBLIC = [
     "VERDICT_CONVERGES", "VERDICT_PERIODIC", "VERDICT_CHAOTIC", "VERDICT_SINGULAR",
     "VERDICT_UNDETERMINED", "AnalysisSettings", "CycleReport", "LyapunovEstimate",
     "OrbitClassification", "detect_convergence", "detect_cycle", "lyapunov_max",
-    "lyapunov_divergence_oracle", "classify_orbit", "classify_lanes",
+    "lyapunov_divergence_oracle", "classify_orbit",
+    # lanes
+    "classify_lanes",
     # scan
     "ComplexRect", "ExtremaReport", "GridSpec", "ClassificationGrid", "scan_margin",
     "classification_grid",
@@ -105,9 +107,9 @@ STARTS = {
     "lyapunov": (["lyapunov", *_PAIR, *_SEED, "--transient", "5", "--sample", "20"],
                  _BASE | {"analysis"}),
     "scan": (["scan", "--branch", "plus", *_RECT, "--budget", "8"],
-             _BASE | {"analysis", "scan", "stability"}),
+             _BASE | {"analysis", "lanes", "scan", "stability"}),
     "grid": (["grid", *_PAIR, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", "2x2",
-              "--steps", "50"], _BASE | {"analysis", "scan", "stability"}),
+              "--steps", "50"], _BASE | {"analysis", "lanes", "scan", "stability"}),
 }
 
 _CHILD = """
@@ -134,3 +136,29 @@ def test_each_start_loads_only_the_modules_it_runs(start):
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert set(json.loads(child.stdout)) == {f"ratdiff.{m}" for m in expected}
+
+
+_NUMPY_FREE = """
+import sys
+import ratdiff.core as core
+import ratdiff.invariants as invariants
+import ratdiff.serialize as serialize
+import ratdiff.stability as stability
+params = core.Parameters(0.2278 + 0.3210j, 1.2278 + 0.3210j)  # beta = alpha + 1
+orbit = core.iterate(params, core.OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j), core.IterationSettings(5))
+stability.classify(params, stability.equilibria(params)[0])
+invariants.check_identities(params, orbit)
+payload = {"kind": "orbit", "orbits": [{"seed": (orbit.seed.z_minus1, orbit.seed.z_0),
+           "status": orbit.status, "stop_step": orbit.stop_step, "points": orbit.points}]}
+envelope = serialize.ResultEnvelope(serialize.RunSpec("orbit"), "0", 0.0, payload)
+for fmt in ("json", "csv"):
+    assert serialize.emit(envelope, fmt)
+print("numpy" in sys.modules)
+"""
+
+
+def test_the_scalar_modules_and_json_and_csv_need_no_numpy():
+    child = subprocess.run([sys.executable, "-c", _NUMPY_FREE],
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

@@ -18,8 +18,8 @@ from ratdiff import (
     scan_margin,
 )
 from ratdiff.core import STATUS_SINGULAR, GuardTripped
+from ratdiff.lanes import _clark_margin_lanes
 from ratdiff.scan import _BLOCK_ROWS, _REFINE_EVERY, _SHRINK_LEVELS, ExtremaReport, _lane_clip
-from ratdiff.stability import _clark_margin_lanes
 
 import cases
 

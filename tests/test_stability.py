@@ -15,7 +15,8 @@ from ratdiff import (
     equilibrium_residual,
     linearization,
 )
-from ratdiff.stability import BRANCH_MINUS, BRANCH_PLUS, _clark_margin_lanes, _sqrt
+from ratdiff.lanes import _clark_margin_lanes, _sqrt
+from ratdiff.stability import BRANCH_MINUS, BRANCH_PLUS
 
 import cases
 
@@ -309,9 +310,10 @@ def test_roots_zero_coeffs():
     assert characteristic_roots(CharCoeffs.of(0, 0)) == (0, 0)
 
 
-@pytest.mark.parametrize("A", [5e-324 + 0j, -5e-324 + 0j])
+@pytest.mark.parametrize("A", [5e-324 + 0j, -5e-324 + 0j, 1e-200 + 0j, 1e-200 - 3e-190j,
+                               1e200 + 1j])
 def test_roots_of_a_subnormal_linear_coefficient(A):
-    # A*A underflows, so the larger root computes as 0: the roots are -A and 0
+    # A*A underflows (or overflows), so sqrt(A*A) is not +-A: the roots are -A and 0
     assert characteristic_roots(CharCoeffs.of(A, 0j)) == (-A, 0j)
 
 
