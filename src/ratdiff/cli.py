@@ -247,8 +247,8 @@ def parse_args(argv: list[str]) -> RunSpec:
 
 
 # the resource rule: the most points a command holds and the most cells of
-# a grid (README, "Limits").  At the point limit a JSON orbit peaks at 332 MB
-# RSS and an SVG one at 521 MB; a grid takes about 4 KB a cell whatever
+# a grid (README, "Limits").  At the point limit a JSON orbit peaks at 168 MB
+# RSS and an SVG one at 279 MB; a grid takes about 4 KB a cell whatever
 # --steps is (292 MB at 256x256).
 _MAX_POINTS = 1_000_000
 _MAX_CELLS = 512 * 512

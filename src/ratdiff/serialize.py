@@ -31,6 +31,10 @@ __all__ = [
 
 FORMATS = ("csv", "json", "svg")
 
+# exports format this many points (CSV rows, file characters) into one string
+# at a time, so each formatted point is held in its block and in the text
+_BLOCK = 8192
+
 
 class FormatError(ValueError):
     """Requested output format cannot represent the payload."""
@@ -167,7 +171,7 @@ class ResultEnvelope:
                     "wall_time_s": self.wall_time_s, "payload": self.payload}
         if self.error is not None:
             envelope["error"] = self.error
-        return json.dumps(_plain(envelope), sort_keys=True, indent=2) + "\n"
+        return "".join([*_json_blocks(envelope), "\n"])
 
     @classmethod
     def from_json(cls, text: str) -> "ResultEnvelope":
@@ -175,6 +179,34 @@ class ResultEnvelope:
         return cls(runspec=RunSpec.from_dict(data["runspec"]), version=data["version"],
                    wall_time_s=data["wall_time_s"], payload=_from_literals(data["payload"]),
                    error=data.get("error"))
+
+
+def _json_scalar(value) -> str:
+    """json.dumps(_plain(value)) for a value that holds no other value."""
+    return f'"{format_complex(value)}"' if isinstance(value, complex) else json.dumps(_plain(value))
+
+
+def _json_blocks(value, indent: str = "\n"):
+    """The strings of json.dumps(_plain(value), sort_keys=True, indent=2), where
+    indent opens value's line; a sequence with no container gives one per _BLOCK items."""
+    value = _plain(value) if isinstance(value, ComplexRect) else value
+    if not (value and isinstance(value, (dict, list, tuple))):  # {} and [] too
+        yield _json_scalar(value)
+        return
+    inner, keyed = indent + "  ", isinstance(value, dict)
+    sep = "," + inner
+    yield "{" if keyed else "["
+    if keyed or any(isinstance(item, (dict, list, tuple, ComplexRect)) for item in value):
+        pairs = ((json.dumps(key) + ": ", item) for key, item in sorted(value.items())) \
+            if keyed else (("", item) for item in value)  # (prefix, item)
+        for i, (prefix, item) in enumerate(pairs):
+            yield (sep if i else inner) + prefix
+            yield from _json_blocks(item, inner)
+    else:
+        for start in range(0, len(value), _BLOCK):
+            yield sep if start else inner
+            yield sep.join([_json_scalar(v) for v in value[start:start + _BLOCK]])
+    yield indent + ("}" if keyed else "]")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +229,8 @@ def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> str:
         raise FormatError(f"unknown format {format!r}")
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _BLOCK):  # each slice is encoded alone
+                fh.write(text[start:start + _BLOCK])
     return text
 
 
@@ -209,17 +242,18 @@ def _emit_csv(payload: dict) -> str:
         orbits = payload["orbits"]
         if len(orbits) != 1:
             raise FormatError("csv orbit output requires exactly one seed")
-        rows = ["n,re,im\r\n"]
-        rows += [f"{n},{z.real!r},{z.imag!r}\r\n"
-                 for n, z in enumerate(orbits[0]["points"], start=-1)]
+        points = orbits[0]["points"]
+        rows = ["n,re,im\r\n"] + ["".join([f"{n},{z.real!r},{z.imag!r}\r\n" for n, z in
+                                          enumerate(points[i:i + _BLOCK], start=i - 1)])
+                                 for i in range(0, len(points), _BLOCK)]
     elif kind == "grid":
         rows = ["re,im,verdict\r\n"]
         rect = ComplexRect(*payload["region"])
         nx, ny = payload["nx"], payload["ny"]
-        for iy, row in enumerate(payload["cells"]):
-            for ix, verdict in enumerate(row):
-                c = rect.center(ix, iy, nx, ny)
-                rows.append(f"{c.real!r},{c.imag!r},{verdict}\r\n")
+        for iy, row in enumerate(payload["cells"]):  # a string per row of cells
+            centers = [rect.center(ix, iy, nx, ny) for ix in range(len(row))]
+            rows.append("".join([f"{c.real!r},{c.imag!r},{verdict}\r\n"
+                                 for c, verdict in zip(centers, row)]))
     else:
         raise FormatError(f"no csv form for payload kind {kind!r}")
     return "".join(rows)
@@ -264,15 +298,8 @@ class _Canvas:
             f'fill="{fill}" stroke="{stroke}"/>'
         )
 
-    def circles(self, xs, ys, r, fill):
-        """One circle per point; xs and ys come formatted."""
-        r = _f(r)
-        self.parts += [f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}"/>'
-                       for x, y in zip(xs, ys)]
-
-    def polyline(self, xs, ys, stroke):
-        """xs and ys come formatted."""
-        coords = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
+    def polyline(self, coords, stroke):
+        """coords come formatted: "x,y" pairs separated by spaces."""
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
             f'stroke-width="1"/>'
@@ -289,7 +316,7 @@ class _Canvas:
                   self.height - 2 * _SVG_PAD, "none", stroke="black")
 
     def render(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+        return "\n".join([*self.parts, "</svg>", ""])
 
 
 def _bound(v: float, scale: float) -> str:
@@ -365,9 +392,15 @@ def _svg_orbit(payload: dict) -> str:
     plane = _PlaneMap(np.concatenate(orbits), _SVG_SIZE, _SVG_SIZE)
     for idx, z in enumerate(orbits):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        xs, ys = ([f"{c:.3f}" for c in axis.tolist()] for axis in plane.xy(z.real, z.imag))
-        canvas.polyline(xs, ys, color)
-        canvas.circles(xs, ys, 2.0, color)
+        x, y = plane.xy(z.real, z.imag)
+        coords, dots = [], []  # a string per block of points in each
+        for start in range(0, len(z), _BLOCK):
+            xs, ys = ([f"{c:.3f}" for c in axis[start:start + _BLOCK].tolist()] for axis in (x, y))
+            coords.append(" ".join([f"{u},{v}" for u, v in zip(xs, ys)]))
+            dots.append("\n".join([f'<circle cx="{u}" cy="{v}" r="2.000" fill="{color}"/>'
+                                   for u, v in zip(xs, ys)]))
+        canvas.polyline(" ".join(coords), color)
+        canvas.parts += dots
     canvas.frame()
     canvas.text(_SVG_PAD, _SVG_PAD - 10,
                 f"orbit plot ({len(orbits)} seed(s)), re vs im")
@@ -412,7 +445,8 @@ def _svg_scan(payload: dict) -> str:
         plane = _PlaneMap(np.array(pts, dtype=complex), half, _SVG_SIZE)
         for z, color, label in zip(pts, ("#d62728", "#1f77b4"), ("max", "min")):
             x, y = plane.xy(z.real, z.imag)
-            canvas.circles([_f(offset + x)], [_f(y)], 4.0, color)
+            canvas.parts.append(f'<circle cx="{_f(offset + x)}" cy="{_f(y)}" r="4.000" '
+                                f'fill="{color}"/>')
             canvas.text(offset + x + 6, y, label, size=10)
         canvas.rect(offset + _SVG_PAD, _SVG_PAD, half - 2 * _SVG_PAD,
                     _SVG_SIZE - 2 * _SVG_PAD, "none", stroke="black")

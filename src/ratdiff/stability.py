@@ -14,6 +14,7 @@ of lambda^2 + A*lambda + C = 0 supplements it.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .core import STATUS_ESCAPED, STATUS_SINGULAR, GuardTripped, Parameters, step
@@ -172,23 +173,28 @@ def clark_margin_at(params: Parameters, branch: str) -> float:
 def characteristic_roots(coeffs: CharCoeffs) -> tuple[complex, complex]:
     """Roots of lambda^2 + A*lambda + C = 0, larger magnitude first.
 
-    The larger root is computed with the cancellation-free sign choice;
-    its companion comes from the product lambda1*lambda2 = C.
+    The larger root is computed with the cancellation-free sign choice, from
+    A / 2**e and C / 4**e with 2**e about max(|A|, sqrt|C|), whose squares
+    neither overflow nor underflow; its companion comes from lambda1*lambda2 = C.
     """
     A, C = coeffs.A, coeffs.C
     if A == 0 and C == 0:
         return (0j, 0j)
-    s = cmath.sqrt(A * A - 4 * C)
-    if C == 0:  # the roots are -A and 0, where A*A may underflow or overflow
+    if C == 0:  # the roots are -A and 0
         big = -A
-    elif abs(A - s) > abs(A + s):  # pick the sign that avoids cancellation in -A -/+ s
-        big = 0.5 * (-A + s)
     else:
-        big = 0.5 * (-A - s)
+        e = math.frexp(max(abs(A), math.sqrt(abs(C))))[1]
+        a, c = _ldexp(A, -e), _ldexp(C, -2 * e)
+        s = cmath.sqrt(a * a - 4 * c)  # then the sign that avoids cancellation in -a -/+ s
+        big = _ldexp(0.5 * (-a + s) if abs(a - s) > abs(a + s) else 0.5 * (-a - s), e)
     small = C / big
     if abs(small) > abs(big):
         big, small = small, big
     return (big, small)
+
+
+def _ldexp(z: complex, e: int) -> complex:  # z * 2**e, part by part
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
 def classify(params: Parameters, eq: Equilibrium) -> StabilityVerdict:

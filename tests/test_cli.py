@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -18,7 +19,7 @@ import ratdiff.cli
 from ratdiff import (IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
                      format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
-from ratdiff.serialize import FormatError
+from ratdiff.serialize import _BLOCK, FormatError, _plain
 
 import cases
 
@@ -324,6 +325,64 @@ def test_export_bytes_are_pinned(fmt):
     argv = _PINNED_ARGV + (["--seed=-0.3+0.2i,0.4+0i"] if fmt == "svg" else [])
     env = dataclasses.replace(execute(parse_args(argv)), wall_time_s=0.0)
     assert hashlib.sha256(emit(env, fmt).encode()).hexdigest() == _PINNED_SHA256[fmt]
+
+
+# an envelope of each command; together they hold two seeds of more than
+# a block of points each, non-finite points, an error with an empty
+# payload, null, true, a "-inf" float, a grid's rows and a scan's pairs
+_ENVELOPE_ARGV = {
+    "orbit": ["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+              "--seed=0.1+0.1i,0.2-0.1i", "--seed=-0.0-0.3i,2", "--steps", str(_BLOCK + 5)],
+    "orbit-escaped": ["orbit", "--alpha", "0+1e308i", "--beta", "1e308",
+                      "--seed=2,0+3i", "--steps", "5"],
+    "equilibria": ["equilibria", "--alpha", "0", "--beta", "0"],
+    "stability": ["stability", "--alpha", "1+1i", "--beta", "1+1i"],
+    "trichotomy": ["trichotomy", "--alpha", "1", "--beta", "3"],
+    "period": ["period", "--alpha", "1", "--beta", "1", "--seed=2,3", "--steps", "100"],
+    "period-escaped": ["period", "--alpha", "1e308", "--beta", "1e308",
+                       "--seed=1e308,1e308", "--steps", "10"],
+    "lyapunov": ["lyapunov", "--alpha", "0.3+0.1i", "--beta", "0", "--seed", "0.1,0.2"],
+    "scan": ["scan", "--branch", "plus", "--alpha-rect=-1,1,-1,1",
+             "--beta-rect=-1,1,-1,1", "--budget", "64"],
+    "grid": ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed",
+             "--rect=-1,1,-1,1", "--resolution", "3x2", "--steps", "50"],
+    "identities": ["identities", "--alpha", "0.5+0.5i", "--seed=0.1,0.2", "--steps", "20"],
+}
+
+
+@pytest.mark.parametrize("name", _ENVELOPE_ARGV)
+def test_to_json_is_json_dumps_of_the_plain_envelope(name):
+    env = execute(parse_args(_ENVELOPE_ARGV[name]))
+    if name == "period-escaped":
+        assert env.error is not None and env.payload == {}
+    if name == "lyapunov":
+        assert env.payload["lambda_max"] == -math.inf
+    envelope = {"runspec": env.runspec.to_dict(), "version": env.version,
+                "wall_time_s": env.wall_time_s, "payload": env.payload}
+    if env.error is not None:
+        envelope["error"] = env.error
+    assert env.to_json() == json.dumps(_plain(envelope), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def chaotic_orbit_envelope():
+    return execute(parse_args(["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+                               "--seed=0.1+0.1i,0.2-0.1i", "--steps", "50000"]))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_an_export_holds_at_most_three_times_its_text(chaotic_orbit_envelope, fmt):
+    # an export formats its points a block at a time, so it holds about its
+    # text in block strings and its text once more; a list of one string per
+    # point, or a copy of the whole text, would pass 3x
+    emit(chaotic_orbit_envelope, fmt)  # imports outside the measurement
+    tracemalloc.start()
+    try:
+        text = emit(chaotic_orbit_envelope, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text), f"{fmt}: peak {peak} for {len(text)} characters"
 
 
 def test_csv_reads_back_to_orbit_points():

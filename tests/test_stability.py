@@ -317,6 +317,12 @@ def test_roots_of_a_subnormal_linear_coefficient(A):
     assert characteristic_roots(CharCoeffs.of(A, 0j)) == (-A, 0j)
 
 
+def test_roots_of_a_linear_coefficient_whose_square_overflows():
+    big, small = characteristic_roots(CharCoeffs.of(1e200 + 0j, 1 + 0j))
+    assert cmath.isfinite(big) and cmath.isfinite(small)
+    assert big == pytest.approx(-1e200, rel=1e-15) and small == pytest.approx(-1e-200, rel=1e-15)
+
+
 def test_roots_pure_square():
     roots = characteristic_roots(CharCoeffs.of(0, -0.25))
     assert sorted(r.real for r in roots) == pytest.approx([-0.5, 0.5])
