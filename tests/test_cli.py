@@ -385,6 +385,37 @@ def test_an_export_holds_at_most_three_times_its_text(chaotic_orbit_envelope, fm
     assert peak <= 3 * len(text), f"{fmt}: peak {peak} for {len(text)} characters"
 
 
+def _written_peak(env, fmt, path):
+    """(tracemalloc peak of emit(env, fmt, path), size of the file written)."""
+    emit(env, fmt, str(path))  # imports outside the measurement
+    tracemalloc.start()
+    try:
+        emit(env, fmt, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, path.stat().st_size
+
+
+@pytest.fixture(scope="module")
+def long_orbit_envelope():
+    return execute(parse_args(["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+                               "--seed=0.1+0.1i,0.2-0.1i", "--steps", "100000"]))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_a_streamed_export_holds_no_text(chaotic_orbit_envelope, long_orbit_envelope, fmt,
+                                         tmp_path):
+    # written to a path, an export holds a block at a time, never its text;
+    # the svg holds the orbit's "x,y" pairs (about 16 bytes a point) for the
+    # polyline and then the circles, which take more than three times that
+    peak, size = _written_peak(long_orbit_envelope, fmt, tmp_path / f"long.{fmt}")
+    assert peak < (1.0 if fmt == "svg" else 0.5) * size, f"{fmt}: peak {peak} for {size} bytes"
+    if fmt != "svg":  # the peak does not grow with the orbit
+        half_peak, _ = _written_peak(chaotic_orbit_envelope, fmt, tmp_path / f"half.{fmt}")
+        assert peak <= 1.1 * half_peak, f"{fmt}: peak {peak} at 1e5 steps, {half_peak} at 5e4"
+
+
 def test_csv_reads_back_to_orbit_points():
     text = emit(execute(parse_args(_PINNED_ARGV)), "csv")
     rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
@@ -470,10 +501,23 @@ def test_svg_window_never_collapses_or_overflows(argv):
 
 
 def test_emit_writes_file(tmp_path):
-    env = _orbit_envelope()
-    path = tmp_path / "orbit.csv"
-    text = emit(env, "csv", str(path))
-    assert path.read_bytes().decode() == text
+    # the file holds exactly the text emit returns without a path, for every
+    # format each payload kind has: orbits of one seed and of two over more
+    # than a block, an escaped orbit's non-finite points, a grid, a scan and
+    # an error envelope
+    one_seed = _ENVELOPE_ARGV["orbit"][:6] + ["--steps", str(2 * _BLOCK + 1)]
+    exports = [(one_seed, ("json", "csv", "svg")),
+               (_ENVELOPE_ARGV["orbit"], ("json", "svg")),
+               (_ENVELOPE_ARGV["orbit-escaped"], ("json", "csv", "svg")),
+               (_ENVELOPE_ARGV["grid"], ("json", "csv", "svg")),
+               (_ENVELOPE_ARGV["scan"], ("json", "svg")),
+               (_ENVELOPE_ARGV["period-escaped"], ("json",))]
+    for argv, formats in exports:
+        env = execute(parse_args(argv))
+        for fmt in formats:
+            path = tmp_path / f"{argv[0]}.{fmt}"
+            assert emit(env, fmt, str(path)) is None
+            assert path.read_bytes() == emit(env, fmt).encode(), (argv, fmt)
 
 
 # --- end-to-end exit codes ----------------------------------------------------------
@@ -750,6 +794,25 @@ def test_exit_three_on_overflow(argv):
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
     assert strict_json(result.stdout)["error"]["type"] == "GuardTripped"
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibria", "--alpha", "1", "--beta", "1", "--format", "svg"],
+    ["orbit", "--alpha", "1", "--beta", "1", "--seed=0.1,0.2", "--seed=0.3,0.4",
+     "--steps", "5", "--format", "csv"],
+])
+def test_out_with_a_format_error_exits_2_and_writes_no_file(argv, tmp_path, capsys):
+    path = tmp_path / "export"
+    assert main([*argv, "--out", str(path)]) == 2
+    assert "ratdiff: --format:" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_out_to_a_directory_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["orbit", "--alpha", "1", "--beta", "1", "--seed=0.1,0.2",
+                 "--steps", "5", "--format", "csv", "--out", "."]) == 3
+    assert "ratdiff: --out:" in capsys.readouterr().err
 
 
 def test_lyapunov_zero_beta_writes_minus_inf():
