@@ -8,7 +8,7 @@ Commands: orbit, equilibria, stability, trichotomy, period, lyapunov,
 scan, grid, identities.  A config file supplies the same keys as the
 flags (flat `key = value` lines); explicit flags win.  Exit codes:
 0 success, 2 usage error, 3 numeric failure (singular or escaped orbit
-where the command needs a completed one).
+where the command needs a completed one) or a failed write of the output.
 """
 
 from __future__ import annotations
@@ -247,9 +247,9 @@ def parse_args(argv: list[str]) -> RunSpec:
 
 
 # the resource rule: the most points a command holds and the most cells of
-# a grid (README, "Limits").  At the point limit an orbit written to --out
-# peaks at 75 MB RSS in JSON or CSV and 100 MB in SVG (170 and 244 MB to
-# stdout); a grid takes about 4 KB a cell whatever --steps is.
+# a grid (README, "Limits").  At the point limit an orbit export peaks at
+# 75 MB RSS in JSON or CSV and 100 MB in SVG, to stdout as to --out; a grid
+# takes about 4 KB a cell whatever --steps is.
 _MAX_POINTS = 1_000_000
 _MAX_CELLS = 512 * 512
 _TRANSIENT, _SAMPLE = 500, 5000  # lyapunov's defaults
@@ -373,14 +373,7 @@ def _run_lyapunov(spec: RunSpec) -> dict:
         n_transient=spec.n_transient if spec.n_transient is not None else _TRANSIENT,
         n_sample=spec.n_sample if spec.n_sample is not None else _SAMPLE,
     )
-    return {
-        "kind": "lyapunov",
-        "seed": (seed.z_minus1, seed.z_0),
-        "lambda_max": estimate.lambda_max,
-        "n_transient": estimate.n_transient,
-        "n_sample": estimate.n_sample,
-        "converged": estimate.converged,
-    }
+    return {"kind": "lyapunov", "seed": (seed.z_minus1, seed.z_0), **vars(estimate)}
 
 
 def _run_scan(spec: RunSpec) -> dict:
@@ -391,15 +384,7 @@ def _run_scan(spec: RunSpec) -> dict:
         spec.branch, spec.alpha_rect, spec.beta_rect, spec.budget,
         rng_seed=spec.rng_seed or 0,
     )
-    return {
-        "kind": "scan",
-        "branch": spec.branch,
-        "max_value": report.max_value,
-        "argmax": report.argmax,
-        "min_value": report.min_value,
-        "argmin": report.argmin,
-        "samples": report.samples,
-    }
+    return {"kind": "scan", "branch": spec.branch, **vars(report)}
 
 
 def _run_grid(spec: RunSpec) -> dict:
@@ -512,15 +497,13 @@ def main(argv: list[str] | None = None) -> int:
 
     fmt = spec.format if envelope.error is None else "json"
     try:
-        text = emit(envelope, fmt, spec.out)
+        emit(envelope, fmt, spec.out)
     except FormatError as exc:
         print(f"ratdiff: --format: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"ratdiff: --out: {exc}", file=sys.stderr)
+        print(f"ratdiff: {'stdout' if spec.out is None else '--out'}: {exc}", file=sys.stderr)
         return 3
-    if spec.out is None:
-        sys.stdout.write(text)
     return 0 if envelope.error is None else 3
 
 

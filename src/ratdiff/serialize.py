@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 from .core import ComplexRect
@@ -32,7 +34,7 @@ __all__ = [
 FORMATS = ("csv", "json", "svg")
 
 # exports format this many points (CSV rows, SVG coordinates) into one string
-# at a time, and write --out a string at a time
+# at a time, and write a string at a time
 _BLOCK = 8192
 
 
@@ -216,26 +218,27 @@ def _json_blocks(value, indent: str = "\n"):
 # ---------------------------------------------------------------------------
 # emission
 
-def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> str | None:
-    """Render the envelope in the requested format: return the text, or
-    write it to path a block at a time and return None.
+def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> None:
+    """Write the envelope in the requested format to path, or to sys.stdout
+    where path is None, a block at a time.
 
-    Raises FormatError, before path is opened, when the payload kind
-    cannot be represented in the requested format (csv: orbit and grid
-    payloads; svg: orbit, grid, and scan payloads).  Written to path, a
-    1e5-point orbit peaks under tracemalloc at 0.24 and 0.27 of its file
-    in JSON and CSV and at 0.56 in SVG.
+    Raises FormatError, before path is opened or anything is written,
+    when the payload kind cannot be represented in the requested format
+    (csv: orbit and grid payloads; svg: orbit, grid, and scan payloads).
+    Standard output is flushed here, so a failed write raises OSError
+    from this call.  A 1e5-point orbit peaks under tracemalloc at 0.24
+    and 0.27 of its text in JSON and CSV and at 0.56 in SVG.
     """
     if format not in FORMATS:
         raise FormatError(f"unknown format {format!r}")
     blocks = envelope._json_blocks() if format == "json" else \
         (_csv_blocks if format == "csv" else _svg_blocks)(envelope.payload)
-    first = next(blocks)  # a FormatError comes here, before any file
-    if path is None:
-        return "".join([first, *blocks])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    first = next(blocks)  # a FormatError comes here, before any output
+    with nullcontext(sys.stdout) if path is None else \
+            open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(first)
         fh.writelines(blocks)
+        fh.flush()
 
 
 def _csv_blocks(payload: dict):
@@ -285,34 +288,31 @@ def _f(v: float) -> str:
     return f"{v:.3f}"
 
 
-class _Canvas:
-    def __init__(self, width: int, height: int):
-        self.width, self.height = width, height
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">',
-            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        ]
+def _header(width: int, height: int) -> str:
+    """An SVG's opening tag and white background; every element after it
+    starts with its own newline."""
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
+            f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
 
-    def rect(self, x, y, w, h, fill, stroke="none"):
-        self.parts.append(
-            f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
-            f'fill="{fill}" stroke="{stroke}"/>'
-        )
 
-    def text(self, x, y, content, size=12):
-        self.parts.append(
-            f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
-            f'font-size="{size}">{content}</text>'
-        )
+def _rect(x, y, w, h, fill, stroke="none") -> str:
+    return (f'\n<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
+            f'fill="{fill}" stroke="{stroke}"/>')
 
-    def frame(self):
-        self.rect(_SVG_PAD, _SVG_PAD, self.width - 2 * _SVG_PAD,
-                  self.height - 2 * _SVG_PAD, "none", stroke="black")
 
-    def render(self) -> str:
-        return "\n".join([*self.parts, "</svg>", ""])
+def _text(x, y, content, size=12) -> str:
+    return (f'\n<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
+            f'font-size="{size}">{content}</text>')
+
+
+def _frame(x, width: int, height: int) -> str:
+    """The black frame of the padded plot area of a width x height panel at x."""
+    return _rect(x + _SVG_PAD, _SVG_PAD, width - 2 * _SVG_PAD, height - 2 * _SVG_PAD,
+                 "none", stroke="black")
+
+
+_END = "\n</svg>\n"
 
 
 def _bound(v: float, scale: float) -> str:
@@ -376,13 +376,12 @@ def _svg_blocks(payload: dict):
 
 def _svg_orbit(payload: dict):
     import numpy as np  # here, as JSON and CSV emission need no numpy
-    canvas = _Canvas(_SVG_SIZE, _SVG_SIZE)
     # a non-finite point has no place in the plane: it is left out of the
     # window, the polyline and the circles
     orbits = [np.array(orbit["points"], dtype=complex) for orbit in payload["orbits"]]
     orbits = [z[np.isfinite(z)] for z in orbits]
     plane = _PlaneMap(np.concatenate(orbits), _SVG_SIZE, _SVG_SIZE)
-    yield "\n".join(canvas.parts)
+    yield _header(_SVG_SIZE, _SVG_SIZE)
     for idx, z in enumerate(orbits):
         color = _SERIES_COLORS[idx % len(_SERIES_COLORS)]
         coords = []
@@ -396,58 +395,45 @@ def _svg_orbit(payload: dict):
         for block in coords:  # spaces first, as '" cy="' adds one
             yield ('\n<circle cx="' + block.replace(" ", close + '\n<circle cx="')
                    .replace(",", '" cy="') + close)
-    canvas.parts = []
-    canvas.frame()
-    canvas.text(_SVG_PAD, _SVG_PAD - 10,
-                f"orbit plot ({len(orbits)} seed(s)), re vs im")
-    canvas.text(_SVG_PAD, _SVG_SIZE - 10, plane.label(), size=10)
-    yield "\n" + canvas.render()
+    yield (_frame(0, _SVG_SIZE, _SVG_SIZE)
+           + _text(_SVG_PAD, _SVG_PAD - 10, f"orbit plot ({len(orbits)} seed(s)), re vs im")
+           + _text(_SVG_PAD, _SVG_SIZE - 10, plane.label(), size=10) + _END)
 
 
 def _svg_grid(payload: dict):
-    canvas = _Canvas(_SVG_SIZE, _SVG_SIZE)
     nx, ny = payload["nx"], payload["ny"]
     span_x = (_SVG_SIZE - 2 * _SVG_PAD) / nx
     span_y = (_SVG_SIZE - 2 * _SVG_PAD) / ny
-    for iy, row in enumerate(payload["cells"]):
-        for ix, verdict in enumerate(row):
-            color = _VERDICT_COLORS.get(verdict, "#000000")
-            # im axis grows upward: row 0 sits at the bottom
-            canvas.rect(
-                _SVG_PAD + ix * span_x,
-                _SVG_PAD + (ny - 1 - iy) * span_y,
-                span_x, span_y, color,
-            )
-    canvas.frame()
-    canvas.text(_SVG_PAD, _SVG_PAD - 10,
-                f"classification grid {nx}x{ny}, vary={payload['vary']}")
+    yield _header(_SVG_SIZE, _SVG_SIZE)
+    for iy, row in enumerate(payload["cells"]):  # a string per row of cells
+        y = _SVG_PAD + (ny - 1 - iy) * span_y  # im axis grows upward: row 0 sits at the bottom
+        yield "".join([_rect(_SVG_PAD + ix * span_x, y, span_x, span_y,
+                             _VERDICT_COLORS.get(verdict, "#000000"))
+                       for ix, verdict in enumerate(row)])
     legend = " ".join(f"{k}:{v}" for k, v in sorted(payload["counts"].items()))
-    canvas.text(_SVG_PAD, _SVG_SIZE - 10, legend, size=10)
-    yield canvas.render()
+    yield (_frame(0, _SVG_SIZE, _SVG_SIZE)
+           + _text(_SVG_PAD, _SVG_PAD - 10,
+                   f"classification grid {nx}x{ny}, vary={payload['vary']}")
+           + _text(_SVG_PAD, _SVG_SIZE - 10, legend, size=10) + _END)
 
 
 def _svg_scan(payload: dict):
     import numpy as np
-    width = 2 * _SVG_SIZE
-    canvas = _Canvas(width, _SVG_SIZE)
     alpha_max, beta_max = payload["argmax"]
     alpha_min, beta_min = payload["argmin"]
-
     half = _SVG_SIZE
-    for offset, pts, title in (
-        (0, (alpha_max, alpha_min), "alpha plane"),
-        (half, (beta_max, beta_min), "beta plane"),
-    ):
+    yield _header(2 * half, _SVG_SIZE)
+    for offset, pts, title in ((0, (alpha_max, alpha_min), "alpha plane"),
+                               (half, (beta_max, beta_min), "beta plane")):
         plane = _PlaneMap(np.array(pts, dtype=complex), half, _SVG_SIZE)
+        panel = []
         for z, color, label in zip(pts, ("#d62728", "#1f77b4"), ("max", "min")):
             x, y = plane.xy(z.real, z.imag)
-            canvas.parts.append(f'<circle cx="{_f(offset + x)}" cy="{_f(y)}" r="4.000" '
-                                f'fill="{color}"/>')
-            canvas.text(offset + x + 6, y, label, size=10)
-        canvas.rect(offset + _SVG_PAD, _SVG_PAD, half - 2 * _SVG_PAD,
-                    _SVG_SIZE - 2 * _SVG_PAD, "none", stroke="black")
-        canvas.text(offset + _SVG_PAD, _SVG_PAD - 10, title)
-    canvas.text(_SVG_PAD, _SVG_SIZE - 10,
-                f"max={payload['max_value']!r} min={payload['min_value']!r}",
-                size=10)
-    yield canvas.render()
+            panel.append(f'\n<circle cx="{_f(offset + x)}" cy="{_f(y)}" r="4.000" '
+                         f'fill="{color}"/>')
+            panel.append(_text(offset + x + 6, y, label, size=10))
+        panel.append(_frame(offset, half, _SVG_SIZE))
+        panel.append(_text(offset + _SVG_PAD, _SVG_PAD - 10, title))
+        yield "".join(panel)
+    yield _text(_SVG_PAD, _SVG_SIZE - 10,
+                f"max={payload['max_value']!r} min={payload['min_value']!r}", size=10) + _END

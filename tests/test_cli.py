@@ -1,10 +1,13 @@
+import collections
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +22,7 @@ import ratdiff.cli
 from ratdiff import (IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
                      format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
-from ratdiff.serialize import _BLOCK, FormatError, _plain
+from ratdiff.serialize import _BLOCK, _VERDICT_COLORS, FormatError, _plain
 
 import cases
 
@@ -237,9 +240,16 @@ def _orbit_envelope(steps=3):
     return execute(spec)
 
 
+def _emitted(env, fmt):
+    """The text emit(env, fmt) writes to standard output."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit(env, fmt)
+    return out.getvalue()
+
+
 def test_csv_orbit_shape():
     env = _orbit_envelope(1)  # seed pts + 1 iterate = 3 points
-    text = emit(env, "csv")
+    text = _emitted(env, "csv")
     _strict_csv(text)
     lines = text.split("\r\n")
     assert lines[0] == "n,re,im"
@@ -266,10 +276,11 @@ def test_incompatible_format_exits_2():
                      "--format", "csv")
     assert result.returncode == 2
     assert "--format" in result.stderr
+    assert result.stdout == ""  # refused before anything is written
 
 
 def test_svg_orbit_renders():
-    text = emit(_orbit_envelope(), "svg")
+    text = _emitted(_orbit_envelope(), "svg")
     assert text.startswith("<svg")
     assert 'version="1.1"' in text
     assert "<polyline" in text
@@ -279,7 +290,7 @@ def test_svg_multi_seed_orbit_gets_distinct_colors():
     spec = parse_args(["orbit", "--alpha", "1+1i", "--beta", "1+1i",
                        "--seed", "0.1+0i,0.2+0i", "--seed", "0.3+0i,0.1+0.2i",
                        "--steps", "20"])
-    text = emit(execute(spec), "svg")
+    text = _emitted(execute(spec), "svg")
     assert text.count("<polyline") == 2
     assert 'stroke="#1f77b4"' in text and 'stroke="#ff7f0e"' in text
 
@@ -290,7 +301,7 @@ def test_svg_grid_has_colored_cells():
                        "--rect=-0.4,0.4,-0.4,0.4", "--resolution", "2x2",
                        "--steps", "600"])
     env = execute(spec)
-    text = emit(env, "svg")
+    text = _emitted(env, "svg")
     # 4 data cells on top of the background rect and the frame
     assert text.count("<rect") == 4 + 2
 
@@ -298,7 +309,7 @@ def test_svg_grid_has_colored_cells():
 def test_emission_deterministic():
     env = _orbit_envelope()
     for fmt in ("json", "csv", "svg"):
-        assert emit(env, fmt) == emit(env, fmt)
+        assert _emitted(env, fmt) == _emitted(env, fmt)
 
 
 def test_envelope_json_round_trip():
@@ -324,7 +335,7 @@ def test_export_bytes_are_pinned(fmt):
     # the svg plots a second seed as well; the json has its timing zeroed
     argv = _PINNED_ARGV + (["--seed=-0.3+0.2i,0.4+0i"] if fmt == "svg" else [])
     env = dataclasses.replace(execute(parse_args(argv)), wall_time_s=0.0)
-    assert hashlib.sha256(emit(env, fmt).encode()).hexdigest() == _PINNED_SHA256[fmt]
+    assert hashlib.sha256(_emitted(env, fmt).encode()).hexdigest() == _PINNED_SHA256[fmt]
 
 
 # an envelope of each command; together they hold two seeds of more than
@@ -370,27 +381,20 @@ def chaotic_orbit_envelope():
                                "--seed=0.1+0.1i,0.2-0.1i", "--steps", "50000"]))
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
-def test_an_export_holds_at_most_three_times_its_text(chaotic_orbit_envelope, fmt):
-    # an export formats its points a block at a time, so it holds about its
-    # text in block strings and its text once more; a list of one string per
-    # point, or a copy of the whole text, would pass 3x
-    emit(chaotic_orbit_envelope, fmt)  # imports outside the measurement
+def _written_peak(env, fmt, path, stdout=False):
+    """(tracemalloc peak of emit(env, fmt) writing path, through --out or
+    through stdout open on path, and the size of the file written)."""
+    def write():
+        if not stdout:
+            emit(env, fmt, str(path))
+            return
+        with open(path, "w", encoding="utf-8", newline="") as fh, \
+                contextlib.redirect_stdout(fh):
+            emit(env, fmt)
+    write()  # imports outside the measurement
     tracemalloc.start()
     try:
-        text = emit(chaotic_orbit_envelope, fmt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * len(text), f"{fmt}: peak {peak} for {len(text)} characters"
-
-
-def _written_peak(env, fmt, path):
-    """(tracemalloc peak of emit(env, fmt, path), size of the file written)."""
-    emit(env, fmt, str(path))  # imports outside the measurement
-    tracemalloc.start()
-    try:
-        emit(env, fmt, str(path))
+        write()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -416,8 +420,29 @@ def test_a_streamed_export_holds_no_text(chaotic_orbit_envelope, long_orbit_enve
         assert peak <= 1.1 * half_peak, f"{fmt}: peak {peak} at 1e5 steps, {half_peak} at 5e4"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_an_export_to_stdout_holds_no_text(long_orbit_envelope, fmt, tmp_path):
+    # standard output takes the blocks as --out does: joined, the text
+    # alone would pass 1.0 of the file
+    peak, size = _written_peak(long_orbit_envelope, fmt, tmp_path / f"long.{fmt}", stdout=True)
+    assert peak < (1.0 if fmt == "svg" else 0.5) * size, f"{fmt}: peak {peak} for {size} bytes"
+
+
+def test_a_grid_svg_holds_a_row_at_a_time(tmp_path):
+    # a 512x512 grid's SVG is built a row of cells (about 45 KB) at a time;
+    # its elements held in a list, or joined, would pass 1.0 of the file
+    verdicts = sorted(_VERDICT_COLORS)
+    cells = [[verdicts[(ix + iy) % len(verdicts)] for ix in range(512)] for iy in range(512)]
+    payload = {"kind": "grid", "vary": "seed", "region": [-1.0, 1.0, -1.0, 1.0],
+               "nx": 512, "ny": 512, "cells": cells,
+               "counts": dict(collections.Counter(v for row in cells for v in row))}
+    env = ResultEnvelope(RunSpec("grid"), "0", 0.0, payload)
+    peak, size = _written_peak(env, "svg", tmp_path / "grid.svg")
+    assert peak < 0.05 * size, f"peak {peak} for {size} bytes"
+
+
 def test_csv_reads_back_to_orbit_points():
-    text = emit(execute(parse_args(_PINNED_ARGV)), "csv")
+    text = _emitted(execute(parse_args(_PINNED_ARGV)), "csv")
     rows = list(csv.reader(io.StringIO(text, newline=""), strict=True))
     orbit = iterate(Parameters(0.2278 + 0.3210j, 0.82956 + 0.8221j),
                     OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j), IterationSettings(max_steps=2000))
@@ -501,7 +526,7 @@ def test_svg_window_never_collapses_or_overflows(argv):
 
 
 def test_emit_writes_file(tmp_path):
-    # the file holds exactly the text emit returns without a path, for every
+    # the file holds exactly the bytes emit writes to stdout, for every
     # format each payload kind has: orbits of one seed and of two over more
     # than a block, an escaped orbit's non-finite points, a grid, a scan and
     # an error envelope
@@ -517,7 +542,7 @@ def test_emit_writes_file(tmp_path):
         for fmt in formats:
             path = tmp_path / f"{argv[0]}.{fmt}"
             assert emit(env, fmt, str(path)) is None
-            assert path.read_bytes() == emit(env, fmt).encode(), (argv, fmt)
+            assert path.read_bytes() == _emitted(env, fmt).encode(), (argv, fmt)
 
 
 # --- end-to-end exit codes ----------------------------------------------------------
@@ -813,6 +838,22 @@ def test_out_to_a_directory_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["orbit", "--alpha", "1", "--beta", "1", "--seed=0.1,0.2",
                  "--steps", "5", "--format", "csv", "--out", "."]) == 3
     assert "ratdiff: --out:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_stdout_write_error_exits_3(monkeypatch, capsys, failing):
+    # a full disk or a closed pipe behind stdout is a failed write, not a crash
+    def enospc(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    class Stdout(io.StringIO):  # unlike io.StringIO's, its methods can be replaced
+        pass
+
+    stdout = Stdout()
+    monkeypatch.setattr(stdout, failing, enospc)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["stability", "--alpha", "1", "--beta", "1"]) == 3
+    assert capsys.readouterr().err == "ratdiff: stdout: [Errno 28] No space left on device\n"
 
 
 def test_lyapunov_zero_beta_writes_minus_inf():

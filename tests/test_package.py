@@ -139,6 +139,8 @@ def test_each_start_loads_only_the_modules_it_runs(start):
 
 
 _NUMPY_FREE = """
+import contextlib
+import io
 import sys
 import ratdiff.core as core
 import ratdiff.invariants as invariants
@@ -152,7 +154,9 @@ payload = {"kind": "orbit", "orbits": [{"seed": (orbit.seed.z_minus1, orbit.seed
            "status": orbit.status, "stop_step": orbit.stop_step, "points": orbit.points}]}
 envelope = serialize.ResultEnvelope(serialize.RunSpec("orbit"), "0", 0.0, payload)
 for fmt in ("json", "csv"):
-    assert serialize.emit(envelope, fmt)
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        serialize.emit(envelope, fmt)
+    assert text.getvalue()
 print("numpy" in sys.modules)
 """
 
