@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -476,6 +477,18 @@ def execute(spec: RunSpec) -> ResultEnvelope:
     )
 
 
+def _drop_stdout() -> None:
+    # the bytes a failed write left in sys.stdout are flushed again at exit,
+    # which fails too and turns exit 3 into 120; send them to os.devnull
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # redirect_stdout, capsys
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -502,6 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ratdiff: --format: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
+        if spec.out is None:
+            _drop_stdout()
         print(f"ratdiff: {'stdout' if spec.out is None else '--out'}: {exc}", file=sys.stderr)
         return 3
     return 0 if envelope.error is None else 3

@@ -220,7 +220,11 @@ def _json_blocks(value, indent: str = "\n"):
 
 def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> None:
     """Write the envelope in the requested format to path, or to sys.stdout
-    where path is None, a block at a time.
+    where path is None, a block at a time, and return None.
+
+    emit no longer returns the text: a library caller gets JSON from
+    envelope.to_json(), and any format by wrapping the call in
+    contextlib.redirect_stdout.
 
     Raises FormatError, before path is opened or anything is written,
     when the payload kind cannot be represented in the requested format

@@ -856,6 +856,33 @@ def test_a_stdout_write_error_exits_3(monkeypatch, capsys, failing):
     assert capsys.readouterr().err == "ratdiff: stdout: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("argv", [
+    ["stability", "--alpha", "1", "--beta", "1"],
+    ["orbit", "--alpha", "1", "--beta", "1", "--seed=0.1,0.2", "--steps", "20000",
+     "--format", "svg"],
+])
+def test_a_real_stdout_write_error_exits_3_with_one_line(argv, target):
+    # the bytes left buffered must not fail a second time at interpreter exit,
+    # which prints "Exception ignored" and exits 120; buffered stdout, as in a shell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if target == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "ratdiff.cli", *argv], stdout=stdout,
+                                stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(stdout)
+    assert result.returncode == 3
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("ratdiff: stdout: [Errno ")
+
+
 def test_lyapunov_zero_beta_writes_minus_inf():
     # beta = 0 makes the tangent map nilpotent; the payload must stay JSON
     result = run_cli("lyapunov", "--alpha", "0.3+0.1i", "--beta", "0",
