@@ -361,6 +361,30 @@ _ENVELOPE_ARGV = {
 }
 
 
+# sha256 of exports whose blocks move with the block size, recorded at
+# 8,192-point blocks from the SVG renderer that took its window from arrays of
+# whole orbits: two seeds over more than two blocks each, non-finite points
+# inside a block, and one seed just past two such blocks
+_BLOCKS_SHA256 = {
+    ("svg", "two-seed"): "a789913ff8bc5cad703197d45c720b5da776564fe72fc0d5c946f4f15e62f6e1",
+    ("svg", "orbit-escaped"): "23705a9eb5a91e6eecb2e28f6898fbed167022fa7fdf8de8991e9d168ca0b45a",
+    ("json", "one-seed"): "bfb8ff0cdd6cfdac75e24f7f7727d704d63d650e47ff58882dd4c28aa4b3ce69",
+    ("csv", "one-seed"): "09e1a34fb38734c57693f088d79a3a694d0eeae4905af8cd4a8e28a1f1090852",
+}
+
+
+@pytest.mark.parametrize("fmt,name", _BLOCKS_SHA256)
+def test_export_bytes_across_blocks_are_pinned(fmt, name):
+    argv = {"two-seed": _PINNED_ARGV[:5] + ["--steps", "20000", "--seed=0.1+0.1i,0.2-0.1i",
+                                            "--seed=-0.3+0.2i,0.4+0i"],
+            "orbit-escaped": _ENVELOPE_ARGV["orbit-escaped"],
+            "one-seed": _PINNED_ARGV[:5] + ["--steps", str(2 * 8192 + 1),
+                                            "--seed=0.1+0.1i,0.2-0.1i"]}[name]
+    env = dataclasses.replace(execute(parse_args(argv)), wall_time_s=0.0)
+    digest = hashlib.sha256(_emitted(env, fmt).encode()).hexdigest()
+    assert digest == _BLOCKS_SHA256[fmt, name]
+
+
 @pytest.mark.parametrize("name", _ENVELOPE_ARGV)
 def test_to_json_is_json_dumps_of_the_plain_envelope(name):
     env = execute(parse_args(_ENVELOPE_ARGV[name]))
@@ -412,9 +436,9 @@ def test_a_streamed_export_holds_no_text(chaotic_orbit_envelope, long_orbit_enve
                                          tmp_path):
     # written to a path, an export holds a block at a time, never its text;
     # the svg holds the orbit's "x,y" pairs (about 16 bytes a point) for the
-    # polyline and then the circles, which take more than three times that
+    # polyline and then the circles
     peak, size = _written_peak(long_orbit_envelope, fmt, tmp_path / f"long.{fmt}")
-    assert peak < (1.0 if fmt == "svg" else 0.5) * size, f"{fmt}: peak {peak} for {size} bytes"
+    assert peak < 0.5 * size, f"{fmt}: peak {peak} for {size} bytes"
     if fmt != "svg":  # the peak does not grow with the orbit
         half_peak, _ = _written_peak(chaotic_orbit_envelope, fmt, tmp_path / f"half.{fmt}")
         assert peak <= 1.1 * half_peak, f"{fmt}: peak {peak} at 1e5 steps, {half_peak} at 5e4"
@@ -425,7 +449,34 @@ def test_an_export_to_stdout_holds_no_text(long_orbit_envelope, fmt, tmp_path):
     # standard output takes the blocks as --out does: joined, the text
     # alone would pass 1.0 of the file
     peak, size = _written_peak(long_orbit_envelope, fmt, tmp_path / f"long.{fmt}", stdout=True)
-    assert peak < (1.0 if fmt == "svg" else 0.5) * size, f"{fmt}: peak {peak} for {size} bytes"
+    assert peak < 0.5 * size, f"{fmt}: peak {peak} for {size} bytes"
+
+
+# a child's max RSS starts at that of the process it was spawned from, so a
+# small launcher spawns the export and prints its exit code and its max RSS
+# (KB on Linux) from os.wait4
+_LAUNCH = ("import os, sys; argv = [sys.executable, *sys.argv[1:]]; "
+           "pid = os.posix_spawn(sys.executable, argv, os.environ); "
+           "_, status, usage = os.wait4(pid, 0); "
+           "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+@pytest.mark.skipif(not (hasattr(os, "wait4") and sys.platform == "linux"),
+                    reason="needs os.wait4 and ru_maxrss in KB")
+def test_an_svg_export_peaks_near_the_json_one(tmp_path):
+    # the svg renderer holds no array of the whole orbit, only its "x,y"
+    # text, so its process peaks within 1.5 MB of the JSON export's
+    argv = ["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+            "--seed=0.1+0.1i,0.2-0.1i", "--steps", "100000"]
+    peak_mb = {}
+    for fmt in ("svg", "json"):
+        launched = subprocess.run([sys.executable, "-c", _LAUNCH, "-m", "ratdiff.cli", *argv,
+                                   "--format", fmt, "--out", str(tmp_path / f"orbit.{fmt}")],
+                                  capture_output=True, text=True, check=True)
+        code, kb = map(int, launched.stdout.split())
+        assert code == 0, (fmt, launched.stderr)
+        peak_mb[fmt] = kb / 1024
+    assert peak_mb["svg"] <= peak_mb["json"] + 1.5, peak_mb
 
 
 def test_a_grid_svg_holds_a_row_at_a_time(tmp_path):
@@ -501,22 +552,29 @@ def test_non_finite_points_are_left_out_of_the_svg():
     assert all(math.isfinite(v) for v in _svg_coordinates(result.stdout))
 
 
-@pytest.mark.parametrize("argv", [
+# the sha256 of each plot was recorded from the renderer that took its
+# window from an array of every finite point
+@pytest.mark.parametrize("argv,sha256", [
     # every point coincides far beyond where a padding of 1.0 registers
-    ["orbit", "--alpha", "1e300", "--beta", "1e300", "--seed=1e300,1e300",
-     "--steps", "5", "--format", "svg"],
-    ["scan", "--branch", "plus", "--alpha-rect=1e150,1e150,0,0",
-     "--beta-rect=1e150,1e150,0,0", "--budget", "3", "--format", "svg"],
+    (["orbit", "--alpha", "1e300", "--beta", "1e300", "--seed=1e300,1e300",
+      "--steps", "5", "--format", "svg"],
+     "e3986b040bf70e90b20dcfb8aa20d70fdf4ceb2f0385ba910d141b2654041772"),
+    (["scan", "--branch", "plus", "--alpha-rect=1e150,1e150,0,0",
+      "--beta-rect=1e150,1e150,0,0", "--budget", "3", "--format", "svg"],
+     "abec220e86eb1463c49047bf54058652e8eb93b7fb47f59b74f4254410918fb3"),
     # a coincident point next to the largest double, and a spread that overflows
-    ["orbit", "--alpha", "1", "--beta", "1", "--seed=1.7e308,1.7e308",
-     "--steps", "5", "--format", "svg"],
-    ["orbit", "--alpha", "1", "--beta", "1", "--seed=-1.7e308,1.7e308+1e308i",
-     "--steps", "5", "--format", "svg"],
-])
-def test_svg_window_never_collapses_or_overflows(argv):
+    (["orbit", "--alpha", "1", "--beta", "1", "--seed=1.7e308,1.7e308",
+      "--steps", "5", "--format", "svg"],
+     "1205fd4601f20b4b62147574f106a7cc92e9e400844ee3bd4a5ab0c811d9800b"),
+    (["orbit", "--alpha", "1", "--beta", "1", "--seed=-1.7e308,1.7e308+1e308i",
+      "--steps", "5", "--format", "svg"],
+     "994d2a2c669feaee89f8b3241d4fcbbe9e778b9d93b2c928af836e49e32f773c"),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_svg_window_never_collapses_or_overflows(argv, sha256):
     result = run_cli(*argv)
     assert result.returncode == 0
     assert "Traceback" not in result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
     assert all(math.isfinite(v) for v in _svg_coordinates(result.stdout))
     # every marker lands inside its frame (the scan's beta plane is offset by 480)
     for element in ET.fromstring(result.stdout).iter():
