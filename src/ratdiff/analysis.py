@@ -93,7 +93,8 @@ class OrbitClassification:
     lyapunov: LyapunovEstimate | None = None
 
 
-def detect_convergence(orbit: Orbit, tol: float = 1e-9, window: int = 32) -> complex | None:
+def detect_convergence(orbit: Orbit, tol: float = AnalysisSettings.convergence_tol,
+                       window: int = AnalysisSettings.window) -> complex | None:
     """The limit of a settled orbit, or None.
 
     Reports the mean of the last `window` points when every one of them
@@ -128,8 +129,8 @@ def _transient_cut(n: int, max_period: int) -> int:
 
 def detect_cycle(
     orbit: Orbit,
-    tol: float = 1e-6,
-    max_period: int = 128,
+    tol: float = AnalysisSettings.cycle_tol,
+    max_period: int = AnalysisSettings.max_period,
 ) -> CycleReport | None:
     """Minimal locked period of the orbit tail, or None.
 
@@ -217,8 +218,8 @@ def _tangent_estimate(params: Parameters, points: tuple[complex, ...], n_transie
 def lyapunov_max(
     params: Parameters,
     seed: OrbitSeed,
-    n_transient: int = 500,
-    n_sample: int = 5000,
+    n_transient: int = AnalysisSettings.lyapunov_transient,
+    n_sample: int = AnalysisSettings.lyapunov_sample,
     settings: IterationSettings = IterationSettings(),
 ) -> LyapunovEstimate:
     """Largest Lyapunov exponent by tangent-vector renormalization.
@@ -241,8 +242,8 @@ def lyapunov_divergence_oracle(
     params: Parameters,
     seed: OrbitSeed,
     delta: float = 1e-8,
-    n: int = 5000,
-    n_transient: int = 500,
+    n: int = AnalysisSettings.lyapunov_sample,
+    n_transient: int = AnalysisSettings.lyapunov_transient,
     settings: IterationSettings = IterationSettings(),
 ) -> float:
     """Two-orbit divergence estimate of the largest Lyapunov exponent.

@@ -253,7 +253,6 @@ def parse_args(argv: list[str]) -> RunSpec:
 # takes about 4 KB a cell whatever --steps is.
 _MAX_POINTS = 1_000_000
 _MAX_CELLS = 512 * 512
-_TRANSIENT, _SAMPLE = 500, 5000  # lyapunov's defaults
 
 
 def _check_limits(spec: RunSpec) -> None:
@@ -264,8 +263,7 @@ def _check_limits(spec: RunSpec) -> None:
                          f"above the limit of {_MAX_CELLS} (512x512)")
     if command == "lyapunov":
         what = "--transient + --sample"
-        points = ((_TRANSIENT if spec.n_transient is None else spec.n_transient)
-                  + (_SAMPLE if spec.n_sample is None else spec.n_sample))
+        points = sum(_lyapunov_budget(spec))
     elif command in ("orbit", "period", "identities"):
         # period and identities iterate the first seed only
         orbits = len(spec.seeds) if command == "orbit" and spec.seeds else 1
@@ -276,6 +274,13 @@ def _check_limits(spec: RunSpec) -> None:
     if points > _MAX_POINTS:
         raise UsageError(f"{command}: {what} is {points} points, "
                          f"above the limit of {_MAX_POINTS}")
+
+
+def _lyapunov_budget(spec: RunSpec) -> tuple[int, int]:
+    """(--transient, --sample), each AnalysisSettings' default where unset."""
+    from .analysis import AnalysisSettings
+    return (AnalysisSettings.lyapunov_transient if spec.n_transient is None else spec.n_transient,
+            AnalysisSettings.lyapunov_sample if spec.n_sample is None else spec.n_sample)
 
 
 def _need(spec: RunSpec, **values):
@@ -368,12 +373,7 @@ def _run_lyapunov(spec: RunSpec) -> dict:
     from .analysis import lyapunov_max
     params = _params(spec)
     seed = _seed_list(spec)[0]
-    estimate = lyapunov_max(
-        params,
-        seed,
-        n_transient=spec.n_transient if spec.n_transient is not None else _TRANSIENT,
-        n_sample=spec.n_sample if spec.n_sample is not None else _SAMPLE,
-    )
+    estimate = lyapunov_max(params, seed, *_lyapunov_budget(spec))
     return {"kind": "lyapunov", "seed": (seed.z_minus1, seed.z_0), **vars(estimate)}
 
 

@@ -179,7 +179,7 @@ def step(
     params: Parameters,
     z_prev: complex,
     z_curr: complex,
-    singular_tol: float = 1e-12,
+    singular_tol: float = IterationSettings.singular_tol,
 ) -> complex:
     """Advance one step: (z[n-1], z[n]) -> z[n+1].
 
@@ -225,6 +225,8 @@ def iterate(
     try:
         for _ in range(settings.max_steps):
             z_prev, z_curr = points[-2], points[-1]
+            # step() inlined: calling it here took 1e5 steps from 37 ms to 45-48 ms
+            # (best of 15 runs, Python 3.11.7 on a 2-core Xeon)
             denom = 1 + z_curr
             if abs(denom) < tol:
                 return Orbit(seed, tuple(points), STATUS_SINGULAR, len(points) - 1)
@@ -243,7 +245,7 @@ def tangent(
     params: Parameters,
     z_prev: complex,
     z_curr: complex,
-    singular_tol: float = 1e-12,
+    singular_tol: float = IterationSettings.singular_tol,
 ) -> tuple[complex, complex]:
     """Top row (a11, a12) of the Jacobian of the state map at (z_prev, z_curr).
 

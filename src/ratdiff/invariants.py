@@ -43,6 +43,7 @@ VERDICT_PERIOD_TWO = "period-two"
 VERDICT_UNBOUNDED = "unbounded"
 
 _PERIOD_TWO_TOL = 1e-12  # |beta - (alpha+1)| threshold for the exact regime
+_TRICHOTOMY_BAND = 1e-9  # ||beta| - |alpha+1|| at most this is period-two
 
 
 class HypothesisError(ValueError):
@@ -111,22 +112,20 @@ class EpsilonInterval:
     hi: float
 
 
-def trichotomy(params: Parameters, boundary_tol: float = 1e-9) -> TrichotomyClass:
+def trichotomy(params: Parameters) -> TrichotomyClass:
     """Heuristic outcome prediction from |beta| versus |alpha + 1|.
 
-    Within boundary_tol of equality the verdict is period-two; above it,
+    Within 1e-9 of equality the verdict is period-two; above it,
     unbounded; below, a finite limit.  This transplants the real-parameter
     trichotomy to moduli and is a predictor, not a theorem: bounded
     higher-period and chaotic orbits do occur strictly inside
     |beta| < |alpha + 1|.
     """
-    if boundary_tol < 0:
-        raise ValueError("boundary_tol must be >= 0")
     lhs = abs(params.beta)
     rhs = abs(params.alpha + 1)
-    if abs(lhs - rhs) <= boundary_tol:
+    if abs(lhs - rhs) <= _TRICHOTOMY_BAND:
         verdict = VERDICT_PERIOD_TWO
-    elif lhs > rhs + boundary_tol:
+    elif lhs > rhs + _TRICHOTOMY_BAND:
         verdict = VERDICT_UNBOUNDED
     else:
         verdict = VERDICT_FINITE_LIMIT

@@ -24,7 +24,7 @@ from .analysis import (VERDICT_CHAOTIC, VERDICT_CONVERGES, VERDICT_PERIODIC, VER
                        VERDICT_UNBOUNDED, VERDICT_UNDETERMINED, AnalysisSettings, _settled,
                        _transient_cut)
 from .core import IterationSettings
-from .stability import BRANCH_MINUS, _SINGULAR_TOL
+from .stability import BRANCH_MINUS
 
 __all__ = ["classify_lanes"]
 
@@ -196,7 +196,8 @@ def _clark_margin_lanes(alpha_re, alpha_im, beta_re, beta_im, branch):
         margin = np.hypot(A_re, A_im) + np.hypot(C_re, C_im)
     # abs(1 + zbar) raises OverflowError where finite parts have an infinite modulus
     modulus_overflows = np.isfinite(d_re) & np.isfinite(d_im) & np.isinf(modulus)
-    linearized = ~modulus_overflows & ~(modulus < _SINGULAR_TOL) & np.isfinite(margin)
+    linearized = (~modulus_overflows & ~(modulus < IterationSettings.singular_tol)
+                  & np.isfinite(margin))
     # beta = 0 returns 0.0 before the pole and modulus checks
     ok = ~equilibria_escape & (beta_zero | linearized)
     return np.where(beta_zero, 0.0, margin), ok

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import STATUS_ESCAPED, STATUS_SINGULAR, GuardTripped, Parameters, step
+from .core import STATUS_ESCAPED, STATUS_SINGULAR, GuardTripped, IterationSettings, Parameters, step
 
 __all__ = [
     "BRANCH_MINUS",
@@ -50,7 +50,6 @@ SPECTRAL_UNSTABLE = "unstable"
 SPECTRAL_MARGINAL = "marginal"
 
 _SPECTRAL_TOL = 1e-9
-_SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,18 +124,15 @@ def equilibrium_residual(params: Parameters, z_bar: complex) -> float:
         raise _overflow("the equilibrium residual", params) from None
 
 
-def linearization(
-    params: Parameters,
-    eq: Equilibrium,
-    singular_tol: float = _SINGULAR_TOL,
-) -> CharCoeffs:
+def linearization(params: Parameters, eq: Equilibrium) -> CharCoeffs:
     """Characteristic coefficients A = beta*zbar/(1+zbar)^2, C = -beta/(1+zbar).
 
     For beta = 0 the map is constant and the linearization vanishes
     identically, even when the spurious quadratic root zbar = -1 sits at
     the pole; that limit is returned directly.  Otherwise an equilibrium
-    at the pole raises GuardTripped (STATUS_SINGULAR), and a modulus
-    above the largest double raises GuardTripped (STATUS_ESCAPED).
+    at the pole (|1 + zbar| below IterationSettings.singular_tol) raises
+    GuardTripped (STATUS_SINGULAR), and a modulus above the largest
+    double raises GuardTripped (STATUS_ESCAPED).
     """
     beta = params.beta
     if beta == 0:
@@ -144,7 +140,7 @@ def linearization(
     z = eq.z_bar
     denom = 1 + z
     try:  # abs() raises where finite parts have a modulus above the largest double
-        if abs(denom) < singular_tol:
+        if abs(denom) < IterationSettings.singular_tol:
             raise GuardTripped(STATUS_SINGULAR, f"equilibrium at the map pole: z = {z!r}", value=z)
         return CharCoeffs.of(beta * z / (denom * denom), -beta / denom)
     except OverflowError:

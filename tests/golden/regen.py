@@ -56,7 +56,8 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": numpy.__version__}
 
 
-def _drop_out(argv: tuple[str, ...]) -> list[str]:
+def _without_out(argv: tuple[str, ...]) -> list[str]:
+    """argv without --out and --format, which an export argv ends with."""
     words = list(argv)
     for flag in ("--out", "--format"):
         if flag in words:
@@ -76,7 +77,7 @@ def argv_list() -> list[dict]:
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             for inv in workloads.invocations(name, seed, "tiny"):
-                base = _drop_out(inv.argv)
+                base = _without_out(inv.argv)
                 cases += [{"argv": [*base, "--format", fmt]} for fmt in FORMATS]
                 if inv.out is not None and seed == 0:
                     outs[inv.out] = list(inv.argv)

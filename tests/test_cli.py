@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratdiff.cli
-from ratdiff import (IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
+from ratdiff import (AnalysisSettings, IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
                      format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
 from ratdiff.serialize import _BLOCK, _VERDICT_COLORS, FormatError, _plain
@@ -964,6 +964,8 @@ def test_main_returns_codes_directly(tmp_path):
 
 _POINTS, _CELLS = ratdiff.cli._MAX_POINTS, ratdiff.cli._MAX_CELLS
 _PAIR = ["--alpha", "1", "--beta", "1"]
+# lyapunov's default --transient and --sample
+_TRANSIENT, _SAMPLE = AnalysisSettings().lyapunov_transient, AnalysisSettings().lyapunov_sample
 # each one step over a limit; none of these may ever run
 _OVER_LIMIT = [
     ["orbit", *_PAIR, "--steps", str(_POINTS + 1)],
@@ -971,9 +973,10 @@ _OVER_LIMIT = [
     ["period", *_PAIR, "--steps", str(_POINTS + 1)],
     ["identities", "--alpha", "1", "--steps", str(_POINTS + 1)],
     ["lyapunov", *_PAIR, "--transient", "0", "--sample", str(_POINTS + 1)],
-    ["lyapunov", *_PAIR, "--sample", str(_POINTS - 500 + 1)],  # the default 500 transient
+    ["lyapunov", *_PAIR, "--sample", str(_POINTS - _TRANSIENT + 1)],
     ["grid", *_PAIR, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", f"{_CELLS + 1}x1"],
     ["grid", *_PAIR, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", "512x513"],
+    ["lyapunov", *_PAIR, "--transient", str(_POINTS - _SAMPLE + 1)],
 ]
 
 
@@ -1010,8 +1013,9 @@ def test_a_config_value_over_a_limit_is_rejected(tmp_path, no_work, capsys):
     ["orbit", *_PAIR, "--seed", "0,0", "--seed", "1,1", "--steps", str(_POINTS // 2)],
     # period and identities iterate the first seed only
     ["period", *_PAIR, "--seed", "0,0", "--seed", "1,1", "--steps", str(_POINTS)],
-    ["lyapunov", *_PAIR, "--sample", str(_POINTS - 500)],
+    ["lyapunov", *_PAIR, "--sample", str(_POINTS - _TRANSIENT)],
     ["grid", *_PAIR, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", "512x512"],
+    ["lyapunov", *_PAIR, "--transient", str(_POINTS - _SAMPLE)],
 ])
 def test_parse_args_accepts_a_run_at_a_limit(argv):
     parse_args(argv)  # parsing allocates nothing; these are never run

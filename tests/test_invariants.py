@@ -33,8 +33,11 @@ def test_trichotomy_unbounded_case():
 
 def test_trichotomy_equality_is_period_two():
     alpha = 0.37 - 0.85j
-    t = trichotomy(Parameters(alpha, alpha + 1))
-    assert t.verdict == "period-two"
+    # the band is a fixed 1e-9 on |beta| - |alpha+1|
+    for excess, verdict in [(0.0, "period-two"), (5e-10, "period-two"), (2e-9, "unbounded")]:
+        t = trichotomy(Parameters(alpha, (alpha + 1) * (1 + excess / abs(alpha + 1))))
+        assert t.lhs - t.rhs == pytest.approx(excess, abs=1e-15)
+        assert t.verdict == verdict
 
 
 def test_trichotomy_finite_limit_prediction_even_when_chaotic():
@@ -58,11 +61,6 @@ def test_trichotomy_depends_only_on_moduli():
         beta2 = beta * phase
         other = trichotomy(Parameters(alpha2, beta2))
         assert base.verdict == other.verdict
-
-
-def test_trichotomy_rejects_negative_tol():
-    with pytest.raises(ValueError):
-        trichotomy(Parameters(0, 0), boundary_tol=-1)
 
 
 # --- J invariant and identities ----------------------------------------------
