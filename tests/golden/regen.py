@@ -6,10 +6,11 @@ The corpus pins what the CLI writes for a fixed set of command lines:
 every bench workload's --size tiny argv at seeds 0 and 1 (--out dropped)
 in json, csv and svg; the edge argv of the CI's entry-point step (an
 orbit that escapes at once, two seeds over more than two SVG blocks, a
-7x5 grid SVG); and one relative --out argv per format.  Each entry holds
-the exit code, the sha256 of stdout with wall_time_s masked, the first
-stderr line and, for an --out argv, the sha256 of the file, its
-wall_time_s masked too.
+7x5 grid SVG); one relative --out argv per format; and, in json, the
+argv that leave a flag to its default, miss a required flag or read a
+config file.  Each entry holds the exit code, the sha256 of stdout with
+wall_time_s masked, the first stderr line and, for an --out argv, the
+sha256 of the file, its wall_time_s masked too.
 tests/test_golden.py replays every entry through cli.main in process.
 
 Regenerate only for a change that means to change output, and name the
@@ -45,6 +46,29 @@ EDGE_ARGV = [
     ("grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-1,1,-1,1",
      "--resolution", "7x5", "--steps", "50", "--format", "svg"),
 ]
+# argv that leave to parse_args what no other entry does: the drawn seed
+# (no --seed), the default --steps, --resolution and --rng-seed, and the
+# usage error of a missing flag
+DEFAULT_ARGV = [
+    ("orbit", "--alpha", "1", "--beta", "1", "--steps", "5"),
+    ("period", "--alpha", "1", "--beta", "1", "--steps", "50"),
+    ("lyapunov", "--alpha", "1", "--beta", "1", "--sample", "100"),
+    ("identities", "--alpha", "1", "--steps", "5"),
+    ("scan", "--branch", "plus", "--alpha-rect=-1,1,-1,1", "--beta-rect=-1,1,-1,1",
+     "--budget", "8"),
+    ("orbit", "--alpha", "1", "--beta", "1", "--seed", "0.1,0.2"),
+    ("grid", "--alpha", "1", "--beta", "5", "--vary", "seed", "--rect=-1,1,-1,1",
+     "--steps", "40"),
+    ("grid", "--alpha", "1", "--beta", "1"),
+    ("scan", "--branch", "plus"),
+    ("orbit", "--alpha", "1"),
+]
+# a run whose config file sets the keys named unlike their RunSpec field;
+# --resolution is not a lyapunov flag, so that key is skipped
+CONFIG_CASE = {
+    "argv": ["lyapunov", "--alpha", "1", "--beta", "1", "--config", "run.cfg"],
+    "config": "seed = 0.1,0.2\ntransient = 10\nsample = 100\nresolution = 3x2\nrng-seed = 7\n",
+}
 
 # the float after "wall_time_s": in a JSON envelope, the one field that
 # differs from run to run
@@ -67,7 +91,8 @@ def _without_out(argv: tuple[str, ...]) -> list[str]:
 
 
 def argv_list() -> list[dict]:
-    """Every corpus command line: {"argv": [...]} plus "out" for an --out argv."""
+    """Every corpus command line: {"argv": [...]} plus "out" for an --out argv
+    and "config" for the text of the run.cfg an argv reads."""
     sys.path.insert(0, str(_BENCH))
     try:
         import workloads
@@ -83,13 +108,16 @@ def argv_list() -> list[dict]:
                     outs[inv.out] = list(inv.argv)
     cases += [{"argv": list(argv)} for argv in EDGE_ARGV]
     cases += [{"argv": argv, "out": out} for out, argv in outs.items()]
+    cases += [{"argv": list(argv)} for argv in DEFAULT_ARGV]
+    cases.append(CONFIG_CASE)
     return cases
 
 
 def replay(case: dict) -> dict:
     """Run case["argv"] through cli.main in process; the fields the corpus records.
 
-    An --out argv runs in a fresh directory, so its relative path lands there.
+    Each argv runs in a fresh directory, so a relative --out path lands
+    there and case["config"], if any, is the run.cfg it reads.
     """
     from ratdiff.cli import main
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -97,6 +125,8 @@ def replay(case: dict) -> dict:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
+            if "config" in case:
+                Path("run.cfg").write_text(case["config"], encoding="utf-8")
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = main(list(case["argv"]))
             out = Path(case["out"]).read_bytes() if "out" in case else None
