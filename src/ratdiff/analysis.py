@@ -22,6 +22,7 @@ from .core import (
     STATUS_COMPLETED,
     STATUS_ESCAPED,
     STATUS_SINGULAR,
+    VERDICT_UNBOUNDED,
     iterate,
     step,
     tangent,
@@ -47,7 +48,6 @@ __all__ = [
 
 VERDICT_CONVERGES = "converges"
 VERDICT_PERIODIC = "periodic"
-VERDICT_UNBOUNDED = "unbounded"
 VERDICT_CHAOTIC = "chaotic"
 VERDICT_SINGULAR = "singular"
 VERDICT_UNDETERMINED = "undetermined"

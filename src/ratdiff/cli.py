@@ -97,25 +97,26 @@ def _resolution_flag(text: str) -> tuple[int, int]:
     return nx, ny
 
 
-# every flag a command line or a config file can set: its converter and,
-# for a closed set of values, the choices
+# every flag a command line or a config file can set: the RunSpec field it
+# fills (resolution's splits into nx and ny), its converter and, for a
+# closed set of values, the choices
 _FLAGS = {
-    "alpha": (_complex_flag, None),
-    "beta": (_complex_flag, None),
-    "seed": (_seed_flag, None),
-    "steps": (_positive_int, None),
-    "transient": (_nonnegative_int, None),
-    "sample": (_positive_int, None),
-    "branch": (str, ("minus", "plus")),
-    "alpha-rect": (_rect_flag, None),
-    "beta-rect": (_rect_flag, None),
-    "budget": (_positive_int, None),
-    "vary": (str, ("seed", "alpha", "beta")),
-    "rect": (_rect_flag, None),
-    "resolution": (_resolution_flag, None),
-    "out": (str, None),
-    "format": (str, FORMATS),
-    "rng-seed": (_nonnegative_int, None),
+    "alpha": ("alpha", _complex_flag, None),
+    "beta": ("beta", _complex_flag, None),
+    "seed": ("seeds", _seed_flag, None),
+    "steps": ("steps", _positive_int, None),
+    "transient": ("n_transient", _nonnegative_int, None),
+    "sample": ("n_sample", _positive_int, None),
+    "branch": ("branch", str, ("minus", "plus")),
+    "alpha-rect": ("alpha_rect", _rect_flag, None),
+    "beta-rect": ("beta_rect", _rect_flag, None),
+    "budget": ("budget", _positive_int, None),
+    "vary": ("vary", str, ("seed", "alpha", "beta")),
+    "rect": ("rect", _rect_flag, None),
+    "resolution": ("resolution", _resolution_flag, None),
+    "out": ("out", str, None),
+    "format": ("format", str, FORMATS),
+    "rng-seed": ("rng_seed", _nonnegative_int, None),
 }
 _SHARED_FLAGS = ("alpha", "beta", "out", "format", "rng-seed")
 _VALUE_FLAGS = {*_FLAGS, "config"}  # every flag takes a value
@@ -133,12 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=desc)
         p.add_argument("--config", default=None, help="flat key=value file")
         for name in (*_SHARED_FLAGS, *own):
-            convert, choices = _FLAGS[name]
-            if name == "seed":
-                p.add_argument("--seed", type=convert, action="append", default=None,
-                               help="z[-1],z[0] pair; repeatable")
-            else:
-                p.add_argument(f"--{name}", type=convert, choices=choices, default=None)
+            field, convert, choices = _FLAGS[name]
+            repeat = ({"action": "append", "help": "z[-1],z[0] pair; repeatable"}
+                      if name == "seed" else {})
+            # usage names a value after its flag, not after its field
+            p.add_argument(f"--{name}", dest=field, type=convert, choices=choices, default=None,
+                           metavar=None if choices else name.upper().replace("-", "_"), **repeat)
     return parser
 
 
@@ -162,23 +163,21 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(args: argparse.Namespace, config: dict[str, str]) -> None:
+def _apply_config(values: dict, config: dict[str, str]) -> None:
+    """Fill each unset flag's field in values, the parsed command line, from config."""
     for key, raw in config.items():
         if key not in _FLAGS:
             raise UsageError(f"config key {key!r} is not a known flag")
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
+        field, convert, choices = _FLAGS[key]
+        if field not in values or values[field] is not None:
             continue  # flag not applicable to this command, or explicitly set
-        convert, choices = _FLAGS[key]
         try:
             value = convert(raw)
         except (argparse.ArgumentTypeError, ValueError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from None
         if choices is not None and value not in choices:
             raise UsageError(f"config key {key!r}: {value!r} is not one of {choices}")
-        if key == "seed":
-            value = [value]
-        setattr(args, dest, value)
+        values[field] = [value] if key == "seed" else value
 
 
 def _attach_values(argv: list[str]) -> list[str]:
@@ -200,49 +199,19 @@ def _attach_values(argv: list[str]) -> list[str]:
 
 def parse_args(argv: list[str]) -> RunSpec:
     """Build a RunSpec from argv; config-file values fill unset flags."""
-    args = _build_parser().parse_args(_attach_values(argv))
-    if args.config is not None:
-        _apply_config(args, _read_config(args.config))
-
-    command = args.command
-    get = lambda name, default=None: getattr(args, name, None) if getattr(args, name, None) is not None else default
-
-    steps = get("steps", _COMMANDS[command].steps)
-    seeds = getattr(args, "seed", None)
-    if command == "grid":
-        resolution = get("resolution", (32, 32))
-        nx, ny = resolution
-    else:
-        nx = ny = None
-
-    # randomized runs must carry their rng seed in the envelope echo
-    rng_seed = get("rng_seed")
-    randomized = command == "scan" or (
-        command in ("orbit", "period", "lyapunov", "identities") and not seeds
-    )
-    if rng_seed is None and randomized:
-        rng_seed = 0
-
-    spec = RunSpec(
-        command=command,
-        alpha=get("alpha"),
-        beta=get("beta"),
-        seeds=tuple(seeds) if seeds else None,
-        steps=steps,
-        branch=get("branch"),
-        alpha_rect=get("alpha_rect"),
-        beta_rect=get("beta_rect"),
-        rect=get("rect"),
-        vary=get("vary"),
-        nx=nx,
-        ny=ny,
-        budget=get("budget"),
-        rng_seed=rng_seed,
-        n_transient=get("transient"),
-        n_sample=get("sample"),
-        out=get("out"),
-        format=get("format", "json"),
-    )
+    values = vars(_build_parser().parse_args(_attach_values(argv)))
+    config = values.pop("config")
+    if config is not None:
+        _apply_config(values, _read_config(config))
+    command = _COMMANDS[values["command"]]
+    values = {**command.defaults, **{k: v for k, v in values.items() if v is not None}}
+    if "resolution" in values:
+        values["nx"], values["ny"] = values.pop("resolution")
+    if "seeds" in values:
+        values["seeds"] = tuple(values["seeds"])
+    elif command.draws:  # a run that draws at random echoes the rng seed it draws from
+        values.setdefault("rng_seed", 0)
+    spec = RunSpec(**values)
     _check_limits(spec)
     return spec
 
@@ -438,24 +407,27 @@ class _Command(NamedTuple):
     help: str
     flags: tuple[str, ...]  # the command's own flags, after _SHARED_FLAGS
     run: Callable[[RunSpec], dict]
-    steps: int | None = None  # the default --steps
+    defaults: dict = {}  # flag field -> value where the flag is unset
+    draws: bool = False  # draws at random from --rng-seed, 0 if unset, where no --seed is given
 
 
 _COMMANDS = {
     "orbit": _Command("iterate the map and record the trajectory", ("seed", "steps"),
-                      _run_orbit, 1000),
+                      _run_orbit, {"steps": 1000}, draws=True),
     "equilibria": _Command("fixed points of the map", (), _run_equilibria),
     "stability": _Command("linearization, Clark margins, and root verdicts", (), _run_stability),
     "trichotomy": _Command("|beta| vs |alpha+1| outcome prediction", (), _run_trichotomy),
-    "period": _Command("detect the minimal locked cycle", ("seed", "steps"), _run_period, 20_000),
+    "period": _Command("detect the minimal locked cycle", ("seed", "steps"), _run_period,
+                       {"steps": 20_000}, draws=True),
     "lyapunov": _Command("largest Lyapunov exponent (tangent method)",
-                         ("seed", "transient", "sample"), _run_lyapunov),
+                         ("seed", "transient", "sample"), _run_lyapunov, draws=True),
     "scan": _Command("margin extrema over parameter rectangles",
-                     ("branch", "alpha-rect", "beta-rect", "budget"), _run_scan),
+                     ("branch", "alpha-rect", "beta-rect", "budget"), _run_scan, draws=True),
     "grid": _Command("classification grid over seeds or a parameter",
-                     ("seed", "vary", "rect", "resolution", "steps"), _run_grid, 4000),
+                     ("seed", "vary", "rect", "resolution", "steps"), _run_grid,
+                     {"steps": 4000, "resolution": (32, 32)}),
     "identities": _Command("orbit identity residuals for beta = alpha+1", ("seed", "steps"),
-                           _run_identities, 100),
+                           _run_identities, {"steps": 100}, draws=True),
 }
 
 

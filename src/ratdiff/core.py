@@ -30,6 +30,9 @@ __all__ = [
 STATUS_COMPLETED = "completed"
 STATUS_ESCAPED = "escaped"
 STATUS_SINGULAR = "singular"
+# the verdict of an escaped orbit, shared by analysis and invariants, whose
+# __all__ each list it
+VERDICT_UNBOUNDED = "unbounded"
 
 
 class GuardTripped(ArithmeticError):

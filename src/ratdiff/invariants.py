@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import Orbit, Parameters, STATUS_SINGULAR, _within
+from .core import Orbit, Parameters, STATUS_SINGULAR, VERDICT_UNBOUNDED, _within
 
 __all__ = [
     "VERDICT_FINITE_LIMIT",
@@ -40,7 +40,6 @@ __all__ = [
 
 VERDICT_FINITE_LIMIT = "finite-limit"
 VERDICT_PERIOD_TWO = "period-two"
-VERDICT_UNBOUNDED = "unbounded"
 
 _PERIOD_TWO_TOL = 1e-12  # |beta - (alpha+1)| threshold for the exact regime
 _TRICHOTOMY_BAND = 1e-9  # ||beta| - |alpha+1|| at most this is period-two

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ratdiff.cli
-from ratdiff import (AnalysisSettings, IterationSettings, OrbitSeed, Parameters, ResultEnvelope, RunSpec, emit,
-                     format_complex, iterate, parse_complex)
+from ratdiff import (AnalysisSettings, ComplexRect, IterationSettings, OrbitSeed, Parameters,
+                     ResultEnvelope, RunSpec, emit, format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
 from ratdiff.serialize import _BLOCK, _VERDICT_COLORS, FormatError, _plain
 
@@ -98,15 +98,13 @@ def test_parse_orbit_grammar_instance():
     assert spec.format == "json"
 
 
-def test_parse_bad_complex_exits_2():
-    result = run_cli("orbit", "--alpha", "bogus")
-    assert result.returncode == 2
-    assert "--alpha" in result.stderr
+def test_parse_bad_complex_exits_2(capsys):
+    assert main(["orbit", "--alpha", "bogus"]) == 2
+    assert "--alpha" in capsys.readouterr().err
 
 
 def test_parse_unknown_command_exits_2():
-    result = run_cli("frobnicate")
-    assert result.returncode == 2
+    assert main(["frobnicate"]) == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -140,6 +138,42 @@ def test_explicit_flags_override_config(tmp_path):
     spec = parse_args(["stability", "--alpha", "0+0i", "--config", str(cfg)])
     assert spec.alpha == 0
     assert spec.beta == 3 + 1j
+
+
+# each config key whose RunSpec field has another name: the command it is
+# given to, a value from the config file and one from the command line, and
+# what each puts in the field
+_RENAMED_KEYS = [
+    ("lyapunov", "transient", "10", "20", "n_transient", 10, 20),
+    ("lyapunov", "sample", "100", "200", "n_sample", 100, 200),
+    ("orbit", "seed", "0.1,0.2", "0.3,0.4", "seeds", ((0.1, 0.2),), ((0.3, 0.4),)),
+    ("grid", "resolution", "3x2", "4x5", "resolution", (3, 2), (4, 5)),
+    ("orbit", "rng-seed", "7", "8", "rng_seed", 7, 8),
+    ("scan", "alpha-rect", "0,1,0,1", "0,2,0,2", "alpha_rect", ComplexRect(0, 1, 0, 1),
+     ComplexRect(0, 2, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("command,key,in_config,on_line,field,from_config,from_line",
+                         _RENAMED_KEYS, ids=[case[1] for case in _RENAMED_KEYS])
+def test_a_config_key_fills_its_field_and_its_flag_wins(tmp_path, command, key, in_config,
+                                                        on_line, field, from_config, from_line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {in_config}\n")
+    got = lambda spec: (spec.nx, spec.ny) if field == "resolution" else getattr(spec, field)
+    assert got(parse_args([command, "--config", str(cfg)])) == from_config
+    assert got(parse_args([command, f"--{key}", on_line, "--config", str(cfg)])) == from_line
+
+
+def test_every_runspec_field_but_command_and_the_grid_size_has_one_flag():
+    # the flag table is the one place a flag names its field: a field no row
+    # names could never be set from the command line or a config file
+    named = collections.Counter(field for field, _, _ in ratdiff.cli._FLAGS.values())
+    spec_fields = {f.name for f in dataclasses.fields(RunSpec)}
+    assert {name: named[name] for name in spec_fields - {"command", "nx", "ny"}
+            if named[name] != 1} == {}
+    # --resolution fills nx and ny, the one row that names no field of its own
+    assert set(named) - spec_fields == {"resolution"}
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -616,10 +650,9 @@ def test_exit_zero_and_payload_determinism():
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
 
-def test_exit_two_on_usage():
-    result = run_cli("orbit", "--alpha", "1+1i")  # --beta missing
-    assert result.returncode == 2
-    assert "--beta" in result.stderr
+def test_exit_two_on_usage(capsys):
+    assert main(["orbit", "--alpha", "1+1i"]) == 2  # --beta missing
+    assert "--beta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -670,17 +703,34 @@ def test_exit_three_on_unwritable_out():
     assert "--out" in result.stderr
 
 
-def test_randomized_commands_record_rng_seed():
-    # defaulted seed is echoed for randomized runs even when omitted
-    result = run_cli("scan", "--branch", "plus", "--alpha-rect=0,1,0,1",
-                     "--beta-rect=0,1,0,1", "--budget", "50")
-    assert json.loads(result.stdout)["runspec"]["rng_seed"] == 0
-    result = run_cli("lyapunov", "--alpha", "0.2278+0.3210i",
-                     "--beta", "0.82956+0.8221i", "--sample", "1500")
-    assert json.loads(result.stdout)["runspec"]["rng_seed"] == 0
-    # a fully specified deterministic run carries no seed
-    result = run_cli("trichotomy", "--alpha", "1+0i", "--beta", "0.5+0i")
-    assert "rng_seed" not in json.loads(result.stdout)["runspec"]
+# a quick run of each command that gives neither --seed nor --rng-seed
+_UNSEEDED = {
+    "orbit": ["orbit", "--alpha", "1", "--beta", "1", "--steps", "5"],
+    "equilibria": ["equilibria", "--alpha", "1+0i", "--beta", "0.5+0i"],
+    "stability": ["stability", "--alpha", "1+0i", "--beta", "0.5+0i"],
+    "trichotomy": ["trichotomy", "--alpha", "1+0i", "--beta", "0.5+0i"],
+    "period": ["period", "--alpha", "1", "--beta", "1", "--steps", "50"],
+    "lyapunov": ["lyapunov", "--alpha", "1", "--beta", "1", "--sample", "100"],
+    "scan": ["scan", "--branch", "plus", "--alpha-rect=0,1,0,1", "--beta-rect=0,1,0,1",
+             "--budget", "8"],
+    "grid": ["grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-1,1,-1,1",
+             "--resolution", "2x2", "--steps", "40"],
+    "identities": ["identities", "--alpha", "1", "--steps", "5"],
+}
+
+
+@pytest.mark.parametrize("command", ratdiff.cli._COMMANDS)
+def test_randomized_commands_record_rng_seed(command, capsys):
+    # a run that draws at random echoes its rng seed, 0 where --rng-seed is
+    # omitted; a run that draws nothing carries no rng seed
+    def echoed(argv):
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)["runspec"]
+    draws = command in ("orbit", "period", "lyapunov", "identities", "scan")
+    runspec = echoed(_UNSEEDED[command])
+    assert runspec.get("rng_seed") == (0 if draws else None)
+    if command in ("orbit", "period", "lyapunov", "identities", "grid"):  # they take --seed
+        assert "rng_seed" not in echoed([*_UNSEEDED[command], "--seed", "0.1,0.2"])
 
 
 def test_exit_three_on_numeric_failure():
