@@ -7,10 +7,10 @@ every bench workload's --size tiny argv at seeds 0 and 1 (--out dropped)
 in json, csv and svg; the edge argv of the CI's entry-point step (an
 orbit that escapes at once, two seeds over more than two SVG blocks, a
 7x5 grid SVG); one relative --out argv per format; and, in json, the
-argv that leave a flag to its default, miss a required flag or read a
-config file.  Each entry holds the exit code, the sha256 of stdout with
-wall_time_s masked, the first stderr line and, for an --out argv, the
-sha256 of the file, its wall_time_s masked too.
+argv that leave a flag to its default, miss a required flag, read a
+config file or fail (exit 2 or 3).  Each entry holds the exit code, the
+sha256 of stdout with wall_time_s masked, the first stderr line and, for
+an --out argv, the sha256 of the file, its wall_time_s masked too.
 tests/test_golden.py replays every entry through cli.main in process.
 
 Regenerate only for a change that means to change output, and name the
@@ -63,6 +63,18 @@ DEFAULT_ARGV = [
     ("scan", "--branch", "plus"),
     ("orbit", "--alpha", "1"),
 ]
+# argv that fail: an error envelope, exit 3, keeps an empty payload and is
+# JSON whatever --format asks for; a grid that varies a parameter needs --seed
+ERROR_ARGV = [
+    ("period", "--alpha", "1e308", "--beta", "1e308", "--seed=1e308,1e308", "--steps", "10"),
+    ("period", "--alpha", "1e308", "--beta", "1e308", "--seed=1e308,1e308", "--steps", "10",
+     "--format", "csv"),
+    ("lyapunov", "--alpha", "40+33i", "--beta", "27+77i", "--seed", "0.1,0.2"),
+    ("identities", "--alpha", "0", "--seed=0,-1", "--steps", "5"),
+    ("equilibria", "--alpha", "1e200", "--beta", "1"),
+    ("stability", "--alpha", "1e200", "--beta", "1"),
+    ("grid", "--alpha", "1", "--beta", "1", "--vary", "alpha", "--rect=-1,1,-1,1", "--steps", "5"),
+]
 # a run whose config file sets the keys named unlike their RunSpec field;
 # --resolution is not a lyapunov flag, so that key is skipped
 CONFIG_CASE = {
@@ -110,6 +122,7 @@ def argv_list() -> list[dict]:
     cases += [{"argv": argv, "out": out} for out, argv in outs.items()]
     cases += [{"argv": list(argv)} for argv in DEFAULT_ARGV]
     cases.append(CONFIG_CASE)
+    cases += [{"argv": list(argv)} for argv in ERROR_ARGV]
     return cases
 
 
