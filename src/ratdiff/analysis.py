@@ -13,20 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    GuardTripped,
-    IterationSettings,
-    Orbit,
-    OrbitSeed,
-    Parameters,
-    STATUS_COMPLETED,
-    STATUS_ESCAPED,
-    STATUS_SINGULAR,
-    VERDICT_UNBOUNDED,
-    iterate,
-    step,
-    tangent,
-)
+from .core import (STATUS_COMPLETED, STATUS_ESCAPED, STATUS_SINGULAR, VERDICT_CHAOTIC,
+                   VERDICT_CONVERGES, VERDICT_PERIODIC, VERDICT_SINGULAR, VERDICT_UNBOUNDED,
+                   VERDICT_UNDETERMINED, GuardTripped, IterationSettings, Orbit, OrbitSeed,
+                   Parameters, iterate, step, tangent)
 
 __all__ = [
     "VERDICT_CONVERGES",
@@ -45,12 +35,6 @@ __all__ = [
     "lyapunov_divergence_oracle",
     "classify_orbit",
 ]
-
-VERDICT_CONVERGES = "converges"
-VERDICT_PERIODIC = "periodic"
-VERDICT_CHAOTIC = "chaotic"
-VERDICT_SINGULAR = "singular"
-VERDICT_UNDETERMINED = "undetermined"
 
 _GUARD_VERDICTS = {STATUS_SINGULAR: VERDICT_SINGULAR, STATUS_ESCAPED: VERDICT_UNBOUNDED}
 

@@ -252,17 +252,6 @@ def _lyapunov_budget(spec: RunSpec) -> tuple[int, int]:
             AnalysisSettings.lyapunov_sample if spec.n_sample is None else spec.n_sample)
 
 
-def _need(spec: RunSpec, **values):
-    missing = [f"--{name.replace('_', '-')}" for name, v in values.items() if v is None]
-    if missing:
-        raise UsageError(f"{spec.command}: missing required flag(s) {', '.join(missing)}")
-
-
-def _params(spec: RunSpec) -> Parameters:
-    _need(spec, alpha=spec.alpha, beta=spec.beta)
-    return Parameters(spec.alpha, spec.beta)
-
-
 def _seed_list(spec: RunSpec) -> list[OrbitSeed]:
     if spec.seeds:
         return [OrbitSeed(a, b) for a, b in spec.seeds]
@@ -281,15 +270,15 @@ def _orbit_dict(orbit: Orbit) -> dict:
 
 
 def _run_orbit(spec: RunSpec) -> dict:
-    params = _params(spec)
+    params = Parameters(spec.alpha, spec.beta)
     settings = IterationSettings(max_steps=spec.steps)
     orbits = [iterate(params, seed, settings) for seed in _seed_list(spec)]
-    return {"kind": "orbit", "orbits": [_orbit_dict(o) for o in orbits]}
+    return {"orbits": [_orbit_dict(o) for o in orbits]}
 
 
 def _run_equilibria(spec: RunSpec) -> dict:
     from .stability import equilibria, equilibrium_residual
-    params = _params(spec)
+    params = Parameters(spec.alpha, spec.beta)
     entries = []
     for eq in equilibria(params):
         try:
@@ -302,32 +291,32 @@ def _run_equilibria(spec: RunSpec) -> dict:
             "coincident": eq.coincident,
             "residual": residual,
         })
-    return {"kind": "equilibria", "equilibria": entries}
+    return {"equilibria": entries}
 
 
 def _run_stability(spec: RunSpec) -> dict:
     from .stability import classify, equilibria, linearization
-    params = _params(spec)
+    params = Parameters(spec.alpha, spec.beta)
     reports = [{"branch": eq.branch, "z": eq.z_bar,
                 **vars(linearization(params, eq)), **vars(classify(params, eq))}
                for eq in equilibria(params)]
-    return {"kind": "stability", "reports": reports}
+    return {"reports": reports}
 
 
 def _run_trichotomy(spec: RunSpec) -> dict:
     from .invariants import trichotomy
-    return {"kind": "trichotomy", **vars(trichotomy(_params(spec)))}
+    return vars(trichotomy(Parameters(spec.alpha, spec.beta)))
 
 
 def _run_period(spec: RunSpec) -> dict:
     from .analysis import detect_cycle
-    params = _params(spec)
+    params = Parameters(spec.alpha, spec.beta)
     seed = _seed_list(spec)[0]
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
     if orbit.status != STATUS_COMPLETED:
         raise orbit.guard_error(suffix="; period detection needs a completed orbit")
     report = detect_cycle(orbit)
-    payload = {"kind": "period", "status": orbit.status, "period": None}
+    payload = {"status": orbit.status, "period": None}
     if report is not None:
         payload.update({
             "period": report.period,
@@ -340,27 +329,24 @@ def _run_period(spec: RunSpec) -> dict:
 
 def _run_lyapunov(spec: RunSpec) -> dict:
     from .analysis import lyapunov_max
-    params = _params(spec)
+    params = Parameters(spec.alpha, spec.beta)
     seed = _seed_list(spec)[0]
     estimate = lyapunov_max(params, seed, *_lyapunov_budget(spec))
-    return {"kind": "lyapunov", "seed": (seed.z_minus1, seed.z_0), **vars(estimate)}
+    return {"seed": (seed.z_minus1, seed.z_0), **vars(estimate)}
 
 
 def _run_scan(spec: RunSpec) -> dict:
     from .scan import scan_margin
-    _need(spec, branch=spec.branch, alpha_rect=spec.alpha_rect,
-          beta_rect=spec.beta_rect, budget=spec.budget)
     report = scan_margin(
         spec.branch, spec.alpha_rect, spec.beta_rect, spec.budget,
         rng_seed=spec.rng_seed or 0,
     )
-    return {"kind": "scan", "branch": spec.branch, **vars(report)}
+    return {"branch": spec.branch, **vars(report)}
 
 
 def _run_grid(spec: RunSpec) -> dict:
     from .scan import GridSpec, classification_grid
-    _need(spec, vary=spec.vary, rect=spec.rect)
-    params = _params(spec)
+    params = Parameters(spec.alpha, spec.beta)
     seed = None
     if spec.vary in ("alpha", "beta"):
         if not spec.seeds:
@@ -376,7 +362,6 @@ def _run_grid(spec: RunSpec) -> dict:
     grid = classification_grid(grid_spec, IterationSettings(max_steps=spec.steps))
     counts = dict(Counter(verdict for row in grid.cells for verdict in row))
     return {
-        "kind": "grid",
         "vary": spec.vary,
         "region": [spec.rect.re_min, spec.rect.re_max, spec.rect.im_min, spec.rect.im_max],
         "nx": spec.nx,
@@ -388,10 +373,7 @@ def _run_grid(spec: RunSpec) -> dict:
 
 def _run_identities(spec: RunSpec) -> dict:
     from .invariants import HypothesisError, check_identities
-    _need(spec, alpha=spec.alpha)
-    alpha = spec.alpha
-    beta = spec.beta if spec.beta is not None else alpha + 1
-    params = Parameters(alpha, beta)
+    params = Parameters(spec.alpha, spec.alpha + 1 if spec.beta is None else spec.beta)
     seed = _seed_list(spec)[0]
     orbit = iterate(params, seed, IterationSettings(max_steps=spec.steps))
     try:
@@ -400,15 +382,16 @@ def _run_identities(spec: RunSpec) -> dict:
         raise UsageError(f"--beta: {exc}") from None
     except ValueError:  # a singular orbit, or a seed that escaped: no iterate to check
         raise orbit.guard_error() from None
-    return {"kind": "identities", "status": orbit.status, **vars(report)}
+    return {"status": orbit.status, **vars(report)}
 
 
 class _Command(NamedTuple):
     help: str
     flags: tuple[str, ...]  # the command's own flags, after _SHARED_FLAGS
-    run: Callable[[RunSpec], dict]
+    run: Callable[[RunSpec], dict]  # the payload but its kind, which is the command's name
     defaults: dict = {}  # flag field -> value where the flag is unset
     draws: bool = False  # draws at random from --rng-seed, 0 if unset, where no --seed is given
+    needs: tuple[str, ...] = ("alpha", "beta")  # the fields the command cannot run without
 
 
 _COMMANDS = {
@@ -422,22 +405,30 @@ _COMMANDS = {
     "lyapunov": _Command("largest Lyapunov exponent (tangent method)",
                          ("seed", "transient", "sample"), _run_lyapunov, draws=True),
     "scan": _Command("margin extrema over parameter rectangles",
-                     ("branch", "alpha-rect", "beta-rect", "budget"), _run_scan, draws=True),
+                     ("branch", "alpha-rect", "beta-rect", "budget"), _run_scan, draws=True,
+                     needs=("branch", "alpha_rect", "beta_rect", "budget")),
     "grid": _Command("classification grid over seeds or a parameter",
                      ("seed", "vary", "rect", "resolution", "steps"), _run_grid,
-                     {"steps": 4000, "resolution": (32, 32)}),
+                     {"steps": 4000, "resolution": (32, 32)},
+                     needs=("vary", "rect", "alpha", "beta")),
     "identities": _Command("orbit identity residuals for beta = alpha+1", ("seed", "steps"),
-                           _run_identities, {"steps": 100}, draws=True),
+                           _run_identities, {"steps": 100}, draws=True, needs=("alpha",)),
 }
 
 
 def execute(spec: RunSpec) -> ResultEnvelope:
-    """Run the spec; numeric failures land in the envelope's error field."""
+    """Run the spec; numeric failures land in the envelope's error field,
+    a missing required flag raises UsageError."""
+    command = _COMMANDS[spec.command]
+    missing = [f"--{name.replace('_', '-')}" for name in command.needs
+               if getattr(spec, name) is None]
+    if missing:
+        raise UsageError(f"{spec.command}: missing required flag(s) {', '.join(missing)}")
     start = time.perf_counter()
     payload: dict = {}
     error = None
     try:
-        payload = _COMMANDS[spec.command].run(spec)
+        payload = {"kind": spec.command, **command.run(spec)}
     except GuardTripped as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
     return ResultEnvelope(
@@ -466,6 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         spec = parse_args(argv)
+        envelope = execute(spec)
     except UsageError as exc:
         print(f"ratdiff: {exc}", file=sys.stderr)
         return 2
@@ -473,12 +465,6 @@ def main(argv: list[str] | None = None) -> int:
         if exc.code != 2:  # --help and --version exit 0
             raise
         return 2  # argparse rejected the command line and printed why
-
-    try:
-        envelope = execute(spec)
-    except UsageError as exc:
-        print(f"ratdiff: {exc}", file=sys.stderr)
-        return 2
 
     fmt = spec.format if envelope.error is None else "json"
     try:

@@ -30,9 +30,15 @@ __all__ = [
 STATUS_COMPLETED = "completed"
 STATUS_ESCAPED = "escaped"
 STATUS_SINGULAR = "singular"
-# the verdict of an escaped orbit, shared by analysis and invariants, whose
-# __all__ each list it
+# classify_orbit's verdicts, here so that serialize names them without loading
+# analysis and numpy; analysis lists them in its __all__, and invariants lists
+# VERDICT_UNBOUNDED, which its trichotomy shares
+VERDICT_CONVERGES = "converges"
+VERDICT_PERIODIC = "periodic"
 VERDICT_UNBOUNDED = "unbounded"
+VERDICT_CHAOTIC = "chaotic"
+VERDICT_SINGULAR = "singular"
+VERDICT_UNDETERMINED = "undetermined"
 
 
 class GuardTripped(ArithmeticError):

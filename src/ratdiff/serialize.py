@@ -20,7 +20,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
-from .core import ComplexRect
+from .core import (VERDICT_CHAOTIC, VERDICT_CONVERGES, VERDICT_PERIODIC, VERDICT_SINGULAR,
+                   VERDICT_UNBOUNDED, VERDICT_UNDETERMINED, ComplexRect)
 
 __all__ = [
     "FormatError",
@@ -227,16 +228,21 @@ def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> None
     contextlib.redirect_stdout.
 
     Raises FormatError, before path is opened or anything is written,
-    when the payload kind cannot be represented in the requested format
-    (csv: orbit and grid payloads; svg: orbit, grid, and scan payloads).
+    when the payload kind cannot be represented in the requested format:
+    JSON takes every payload, CSV and SVG the kinds _RENDERERS lists.
     Standard output is flushed here, so a failed write raises OSError
     from this call.  A 1e5-point orbit peaks under tracemalloc at 0.06
     and 0.07 of its text in JSON and CSV and at 0.24 in SVG.
     """
     if format not in FORMATS:
         raise FormatError(f"unknown format {format!r}")
-    blocks = envelope._json_blocks() if format == "json" else \
-        (_csv_blocks if format == "csv" else _svg_blocks)(envelope.payload)
+    if format == "json":
+        blocks = envelope._json_blocks()
+    else:
+        kind = envelope.payload.get("kind")
+        if (format, kind) not in _RENDERERS:
+            raise FormatError(f"no {format} form for payload kind {kind!r}")
+        blocks = _RENDERERS[format, kind](envelope.payload)
     first = next(blocks)  # a FormatError comes here, before any output
     with nullcontext(sys.stdout) if path is None else \
             open(path, "w", encoding="utf-8", newline="") as fh:
@@ -245,29 +251,27 @@ def emit(envelope: ResultEnvelope, format: str, path: str | None = None) -> None
         fh.flush()
 
 
-def _csv_blocks(payload: dict):
-    # no field is ever quoted: numbers are reprs ("nan" and "inf" included)
-    # and verdicts are plain words
-    kind = payload.get("kind")
-    if kind == "orbit":
-        orbits = payload["orbits"]
-        if len(orbits) != 1:
-            raise FormatError("csv orbit output requires exactly one seed")
-        points = orbits[0]["points"]
-        yield "n,re,im\r\n"
-        for i in range(0, len(points), _BLOCK):
-            yield "".join([f"{n},{z.real!r},{z.imag!r}\r\n"
-                           for n, z in enumerate(points[i:i + _BLOCK], start=i - 1)])
-    elif kind == "grid":
-        yield "re,im,verdict\r\n"
-        rect = ComplexRect(*payload["region"])
-        nx, ny = payload["nx"], payload["ny"]
-        for iy, row in enumerate(payload["cells"]):  # a string per row of cells
-            centers = [rect.center(ix, iy, nx, ny) for ix in range(len(row))]
-            yield "".join([f"{c.real!r},{c.imag!r},{verdict}\r\n"
-                           for c, verdict in zip(centers, row)])
-    else:
-        raise FormatError(f"no csv form for payload kind {kind!r}")
+# no CSV field is ever quoted: numbers are reprs ("nan" and "inf" included)
+# and verdicts are plain words
+def _csv_orbit(payload: dict):
+    orbits = payload["orbits"]
+    if len(orbits) != 1:
+        raise FormatError("csv orbit output requires exactly one seed")
+    points = orbits[0]["points"]
+    yield "n,re,im\r\n"
+    for i in range(0, len(points), _BLOCK):
+        yield "".join([f"{n},{z.real!r},{z.imag!r}\r\n"
+                       for n, z in enumerate(points[i:i + _BLOCK], start=i - 1)])
+
+
+def _csv_grid(payload: dict):
+    yield "re,im,verdict\r\n"
+    rect = ComplexRect(*payload["region"])
+    nx, ny = payload["nx"], payload["ny"]
+    for iy, row in enumerate(payload["cells"]):  # a string per row of cells
+        centers = [rect.center(ix, iy, nx, ny) for ix in range(len(row))]
+        yield "".join([f"{c.real!r},{c.imag!r},{verdict}\r\n"
+                       for c, verdict in zip(centers, row)])
 
 
 # fixed palettes keep emission deterministic
@@ -276,12 +280,12 @@ _SERIES_COLORS = (
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 _VERDICT_COLORS = {
-    "converges": "#1f77b4",
-    "periodic": "#2ca02c",
-    "unbounded": "#d62728",
-    "chaotic": "#9467bd",
-    "singular": "#7f7f7f",
-    "undetermined": "#c7c7c7",
+    VERDICT_CONVERGES: "#1f77b4",
+    VERDICT_PERIODIC: "#2ca02c",
+    VERDICT_UNBOUNDED: "#d62728",
+    VERDICT_CHAOTIC: "#9467bd",
+    VERDICT_SINGULAR: "#7f7f7f",
+    VERDICT_UNDETERMINED: "#c7c7c7",
 }
 
 _SVG_SIZE = 480
@@ -370,13 +374,6 @@ class _PlaneMap:
                 f"im in [{_bound(lo_i, s_i)}, {_bound(hi_i, s_i)}]")
 
 
-def _svg_blocks(payload: dict):
-    kind = payload.get("kind")
-    if kind not in ("orbit", "grid", "scan"):
-        raise FormatError(f"no svg form for payload kind {kind!r}")
-    return {"orbit": _svg_orbit, "grid": _svg_grid, "scan": _svg_scan}[kind](payload)
-
-
 def _svg_orbit(payload: dict):
     import numpy as np  # here, as JSON and CSV emission need no numpy
 
@@ -446,3 +443,9 @@ def _svg_scan(payload: dict):
         yield "".join(panel)
     yield _text(_SVG_PAD, _SVG_SIZE - 10,
                 f"max={payload['max_value']!r} min={payload['min_value']!r}", size=10) + _END
+
+
+# the export of each (format, payload kind) pair that has one, as a generator
+# of the text's blocks; JSON, which every payload has, is the envelope's own
+_RENDERERS = {("csv", "orbit"): _csv_orbit, ("csv", "grid"): _csv_grid,
+              ("svg", "orbit"): _svg_orbit, ("svg", "grid"): _svg_grid, ("svg", "scan"): _svg_scan}

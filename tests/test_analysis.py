@@ -167,6 +167,26 @@ def test_lyapunov_escape_raises():
     assert excinfo.value.status == "escaped"
 
 
+@pytest.mark.parametrize("transient,sample", [(500, 0), (-1, 5000)])
+def test_a_lyapunov_budget_below_its_floor_is_a_value_error(transient, sample):
+    alpha, beta, *_ = cases.CHAOTIC_CASES[0]
+    params, seed = Parameters(alpha, beta), OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j)
+    analysis = AnalysisSettings(lyapunov_transient=transient, lyapunov_sample=sample)
+    iteration = IterationSettings(max_steps=200)  # chaotic: the orbit reaches the estimate
+    floor = "need n_transient >= 0 and n_sample >= 1"
+    with pytest.raises(ValueError, match=floor):
+        lyapunov_max(params, seed, transient, sample)
+    with pytest.raises(ValueError, match=floor):
+        classify_orbit(params, seed, iteration, analysis)
+    with pytest.raises(ValueError, match=floor):
+        classify_lanes(alpha, beta, np.full(3, seed.z_minus1), seed.z_0, iteration, analysis)
+    # an orbit that escapes is decided before its estimate: no error either way
+    escaping = Parameters(40 + 33j, 27 + 77j)
+    assert classify_orbit(escaping, seed, iteration, analysis).verdict == "unbounded"
+    assert classify_lanes(escaping.alpha, escaping.beta, np.full(3, seed.z_minus1), seed.z_0,
+                          iteration, analysis) == ["unbounded"] * 3
+
+
 def test_guard_tripped_names_the_orbit_step_and_value():
     # the orbit escapes at point 48: sampled from the seed, or continued
     # from a completed 10-step orbit, the guard names that point

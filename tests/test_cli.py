@@ -22,7 +22,7 @@ import ratdiff.cli
 from ratdiff import (AnalysisSettings, ComplexRect, IterationSettings, OrbitSeed, Parameters,
                      ResultEnvelope, RunSpec, emit, format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
-from ratdiff.serialize import _BLOCK, _VERDICT_COLORS, FormatError, _plain
+from ratdiff.serialize import _BLOCK, _RENDERERS, _VERDICT_COLORS, FORMATS, FormatError, _plain
 
 import cases
 
@@ -125,6 +125,31 @@ def test_runspec_round_trip(argv):
     assert again == spec
 
 
+def test_runspec_from_dict_rejects_an_unknown_field():
+    with pytest.raises(ValueError, match="unknown run-spec field 'wavelength'"):
+        RunSpec.from_dict({"command": "orbit", "wavelength": 7})
+
+
+_ORBIT, _GRID = ["orbit", "--alpha", "1", "--beta", "1"], ["grid", "--alpha", "1", "--beta", "1"]
+
+
+# each value its converter rejects, and the converter's reason
+@pytest.mark.parametrize("argv,reason", [
+    ([*_ORBIT, "--steps", "1.5"], "must be an integer >= 1, got '1.5'"),
+    ([*_ORBIT, "--seed", "0.1"], "seed must be two comma-separated complex literals, got '0.1'"),
+    ([*_GRID, "--vary", "seed", "--rect=-1,1,-1"],
+     "rectangle must be re_min,re_max,im_min,im_max, got '-1,1,-1'"),
+    ([*_GRID, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", "32"],
+     "resolution must be NXxNY, got '32'"),
+    ([*_GRID, "--vary", "seed", "--rect=-1,1,-1,1", "--resolution", "axb"],
+     "resolution must be NXxNY, got 'axb'"),
+])
+def test_a_malformed_value_exits_2_with_its_reason(argv, reason, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+
+
 def test_config_file_fills_unset_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 0+0i\nbeta = 3+1i\n# comment\nformat = json\n")
@@ -174,6 +199,13 @@ def test_every_runspec_field_but_command_and_the_grid_size_has_one_flag():
             if named[name] != 1} == {}
     # --resolution fills nx and ny, the one row that names no field of its own
     assert set(named) - spec_fields == {"resolution"}
+
+
+def test_a_config_line_without_an_equals_sign_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 1\nbeta 1\n")
+    assert main(["stability", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"ratdiff: {cfg}:2: expected key = value, got 'beta 1'\n"
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -243,6 +275,7 @@ def test_execute_period_escape_is_numeric_failure():
     env = execute(spec)
     assert env.error is not None
     assert "escaped" in env.error["message"]
+    assert env.payload == {}  # no kind either: an error envelope has no payload
 
 
 def test_execute_identities_requires_hypothesis():
@@ -264,6 +297,25 @@ def test_execute_identities_default_beta():
 def test_execute_missing_flags_usage_error():
     with pytest.raises(UsageError):
         execute(parse_args(["equilibria"]))
+
+
+def test_a_bare_grid_names_every_missing_flag(capsys):
+    # the grid's own flags first, then the parameters
+    assert main(["grid"]) == 2
+    assert capsys.readouterr().err == (
+        "ratdiff: grid: missing required flag(s) --vary, --rect, --alpha, --beta\n")
+
+
+@pytest.mark.parametrize("command", ratdiff.cli._COMMANDS)
+def test_every_field_a_command_needs_has_a_flag_of_that_command(command):
+    entry = ratdiff.cli._COMMANDS[command]
+    fields = {ratdiff.cli._FLAGS[name][0] for name in (*ratdiff.cli._SHARED_FLAGS, *entry.flags)}
+    assert set(entry.needs) <= fields
+
+
+def test_each_export_row_names_a_command_and_a_format_but_json():
+    assert {kind for _, kind in _RENDERERS} <= set(ratdiff.cli._COMMANDS)
+    assert {fmt for fmt, _ in _RENDERERS} == set(FORMATS) - {"json"}
 
 
 # --- emission ----------------------------------------------------------------------
@@ -289,6 +341,11 @@ def test_csv_orbit_shape():
     assert lines[0] == "n,re,im"
     assert len([ln for ln in lines[1:] if ln]) == 3
     assert lines[1].startswith("-1,")
+
+
+def test_emit_rejects_an_unknown_format():
+    with pytest.raises(FormatError, match="unknown format 'xml'"):
+        emit(_orbit_envelope(), "xml")
 
 
 def test_csv_rejects_scalar_payload():

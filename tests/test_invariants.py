@@ -158,6 +158,14 @@ def test_identities_need_an_iterate():
         check_identities(p, orbit)
 
 
+def test_identities_are_undefined_across_a_singular_orbit():
+    p = Parameters(0, 1)  # beta = alpha + 1; 1 + z[0] = 0 at once
+    orbit = iterate(p, OrbitSeed(0, -1), IterationSettings(max_steps=5))
+    assert orbit.status == "singular"
+    with pytest.raises(ValueError, match="singular"):
+        check_identities(p, orbit)
+
+
 # --- period-two family --------------------------------------------------------
 
 def test_no_pairs_outside_regime():

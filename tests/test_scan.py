@@ -313,6 +313,13 @@ def test_scan_validates_inputs():
         ComplexRect(-1e308, 1e308, 0, 1)  # finite bounds, overflowing span
 
 
+@pytest.mark.parametrize("vary,nx,message", [("gamma", 2, "vary must be one of seed/alpha/beta"),
+                                             ("seed", 0, "resolution must be at least 1x1")])
+def test_grid_spec_validates_inputs(vary, nx, message):
+    with pytest.raises(ValueError, match=message):
+        GridSpec(vary=vary, region=UNIT, nx=nx, ny=2, params=Parameters(1, 1))
+
+
 # --- classification grids ------------------------------------------------------
 
 _FAST = IterationSettings(max_steps=1500)
