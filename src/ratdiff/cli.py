@@ -14,6 +14,7 @@ where the command needs a completed one) or a failed write of the output.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -453,7 +454,8 @@ def _drop_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
+    if argv is None:  # the process entry: no later collection, nor exit, walks the imports
+        gc.freeze()
         argv = sys.argv[1:]
     try:
         spec = parse_args(argv)

@@ -203,7 +203,8 @@ def _json_blocks(value, indent: str = "\n"):
     inner, keyed = indent + "  ", isinstance(value, dict)
     sep = "," + inner
     yield "{" if keyed else "["
-    if keyed or any(isinstance(item, (dict, list, tuple, ComplexRect)) for item in value):
+    kinds = () if keyed else set(map(type, value))
+    if keyed or any(issubclass(kind, (dict, list, tuple, ComplexRect)) for kind in kinds):
         pairs = ((json.dumps(key) + ": ", item) for key, item in sorted(value.items())) \
             if keyed else (("", item) for item in value)  # (prefix, item)
         for i, (prefix, item) in enumerate(pairs):
@@ -212,8 +213,17 @@ def _json_blocks(value, indent: str = "\n"):
     else:
         for start in range(0, len(value), _BLOCK):
             yield sep if start else inner
-            yield sep.join([_json_scalar(v) for v in value[start:start + _BLOCK]])
+            yield _json_items(value[start:start + _BLOCK], sep, kinds == {complex})
     yield indent + ("}" if keyed else "]")
+
+
+def _json_items(items, sep: str, complex_only: bool) -> str:
+    """sep.join of the items' JSON texts; complex_only says each item is a complex."""
+    if complex_only:  # format_complex's text, as "+-" only ever joins the parts
+        text = sep.join([f'"{z.real!r}+{z.imag!r}i"' for z in items]).replace("+-", "-")
+        if "nani" not in text:  # a NaN's repr drops its sign bit
+            return text
+    return sep.join([_json_scalar(v) for v in items])
 
 
 # ---------------------------------------------------------------------------

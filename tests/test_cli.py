@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -22,7 +23,8 @@ import ratdiff.cli
 from ratdiff import (AnalysisSettings, ComplexRect, IterationSettings, OrbitSeed, Parameters,
                      ResultEnvelope, RunSpec, emit, format_complex, iterate, parse_complex)
 from ratdiff.cli import UsageError, execute, main, parse_args
-from ratdiff.serialize import _BLOCK, _RENDERERS, _VERDICT_COLORS, FORMATS, FormatError, _plain
+from ratdiff.serialize import (_BLOCK, _RENDERERS, _VERDICT_COLORS, FORMATS, FormatError,
+                               _json_blocks, _plain)
 
 import cases
 
@@ -488,6 +490,50 @@ def test_to_json_is_json_dumps_of_the_plain_envelope(name):
     if env.error is not None:
         envelope["error"] = env.error
     assert env.to_json() == json.dumps(_plain(envelope), sort_keys=True, indent=2) + "\n"
+
+
+# every signed zero, infinity and NaN, as either part: a NaN's sign bit is
+# not in its repr, so a block with a NaN imaginary part is written by
+# format_complex
+_EDGE_PARTS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1.5, -2.5e-300, 1e16)
+_EDGE_POINTS = [complex(re, im) for re in _EDGE_PARTS for im in _EDGE_PARTS]
+_FINITE_POINTS = [z for z in _EDGE_POINTS if not (math.isnan(z.real) or math.isnan(z.imag))]
+
+
+def _scalars_written(value, monkeypatch):
+    """(the text _json_blocks writes for value, how many items it formats one by one)."""
+    calls = []
+    one_by_one = ratdiff.serialize._json_scalar
+    monkeypatch.setattr(ratdiff.serialize, "_json_scalar",
+                        lambda v: calls.append(v) or one_by_one(v))
+    return "".join(_json_blocks(value)), len(calls)
+
+
+@pytest.mark.parametrize("points", [
+    _FINITE_POINTS * 50 + _EDGE_POINTS,  # the last block holds NaNs of both signs
+    (_FINITE_POINTS * 100)[:2 * _BLOCK + 1],
+    [0.5 - 0.25j] * _BLOCK + [complex(1.0, -math.nan)],
+    [complex(-math.nan, 2.0)] * (_BLOCK + 1),  # a real part's repr has no sign to drop
+], ids=["edge", "finite", "one-nan", "nan-real"])
+@pytest.mark.parametrize("sequence", [list, tuple])
+def test_a_block_of_complex_points_is_written_as_json_dumps(points, sequence, monkeypatch):
+    value = {"points": sequence(points), "more": [sequence(points)]}
+    text, one_by_one = _scalars_written(value, monkeypatch)
+    assert len(points) > _BLOCK
+    assert text.split("\n") == json.dumps(_plain(value), sort_keys=True, indent=2).split("\n")
+    # only a block with a NaN imaginary part is formatted point by point
+    blocks = [points[i:i + _BLOCK] for i in range(0, len(points), _BLOCK)]
+    assert one_by_one == 2 * sum(len(block) for block in blocks
+                                 if any(math.isnan(z.imag) for z in block))
+
+
+@pytest.mark.parametrize("other", [0.5, -math.inf, math.nan, None, 3, True, "x"])
+def test_a_sequence_of_complex_and_other_values_is_written_item_by_item(other, monkeypatch):
+    points = list(_EDGE_POINTS * 30)
+    points[_BLOCK + 7] = other
+    text, one_by_one = _scalars_written(points, monkeypatch)
+    assert text.split("\n") == json.dumps(_plain(points), sort_keys=True, indent=2).split("\n")
+    assert one_by_one == len(points)
 
 
 @pytest.fixture(scope="module")
@@ -1065,6 +1111,28 @@ def test_main_returns_codes_directly(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["payload"]["kind"] == "equilibria"
+
+
+def test_the_process_entry_freezes_the_import_time_objects():
+    # main() with no argv is the console script, python -m ratdiff.cli and
+    # the bench launcher: what it imported is frozen, so no later collection
+    # and not the interpreter's exit walks it
+    child = subprocess.run(
+        [sys.executable, "-c", "import gc, sys; from ratdiff.cli import main; code = main(); "
+         "print(code, gc.get_freeze_count(), file=sys.stderr)",
+         "stability", "--alpha", "1", "--beta", "1"],
+        capture_output=True, text=True, check=True)
+    code, frozen = map(int, child.stderr.split())
+    assert code == 0 and frozen > 1000
+    assert json.loads(child.stdout)["payload"]["kind"] == "stability"
+
+
+def test_an_in_process_main_never_freezes(capsys):
+    before = gc.get_freeze_count()
+    assert main(["stability", "--alpha", "1", "--beta", "1"]) == 0
+    assert main(["orbit", "--alpha", "1", "--beta", "1", "--seed=0.1,0.2", "--steps", "5",
+                 "--format", "csv"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 # --- the resource rule -------------------------------------------------------------
