@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ratdiff.scan
+import ratdiff.stability
 from ratdiff import (
     AnalysisSettings,
     ComplexRect,
@@ -19,7 +21,8 @@ from ratdiff import (
 )
 from ratdiff.core import STATUS_SINGULAR, GuardTripped
 from ratdiff.lanes import _clark_margin_lanes
-from ratdiff.scan import _BLOCK_ROWS, _REFINE_EVERY, _SHRINK_LEVELS, ExtremaReport, _lane_clip
+from ratdiff.scan import (_BLOCK_ROWS, _REFINE_EVERY, _SHRINK_LEVELS, _STALL_ROWS, ExtremaReport,
+                          _lane_clip)
 
 import cases
 
@@ -152,13 +155,17 @@ def _clip(rect, z):
     )
 
 
-def _reference_scan(branch, region_alpha, region_beta, budget, rng_seed):
+def _reference_scan(branch, region_alpha, region_beta, budget, rng_seed, log=None):
     """scan_margin walking one local proposal at a time.
 
     The global rows come from the lane kernel, block by block; each local
     proposal is built from Python floats, clipped by _clip and evaluated
-    by clark_margin_at when its row comes.
+    by clark_margin_at when its row comes.  log, if given, receives
+    ("row", start, target) for each local proposal and ("move", start,
+    target) for each move of a target's best point or shrink level, start
+    being the first row of the block.
     """
+    log = [] if log is None else log
     rng = np.random.default_rng(rng_seed)
     best_max, best_min = -np.inf, np.inf
     arg_max = arg_min = None
@@ -193,6 +200,7 @@ def _reference_scan(branch, region_alpha, region_beta, budget, rng_seed):
                 refine_max = refine_min = False
                 point = None
             if point is not None:
+                log.append(("row", start, 0 if refine_max else 1))
                 try:
                     value = clark_margin_at(Parameters(*point), branch)
                 except GuardTripped:
@@ -208,6 +216,11 @@ def _reference_scan(branch, region_alpha, region_beta, budget, rng_seed):
             improved_min = value < best_min
             if (improved_max or improved_min) and point is None:
                 point = (complex(a_re[j], a_im[j]), complex(b_re[j], b_im[j]))
+            last = _SHRINK_LEVELS - 1
+            for t, moved in enumerate((improved_max or refine_max and level_max < last,
+                                       improved_min or refine_min and level_min < last)):
+                if moved:
+                    log.append(("move", start, t))
             if improved_max:
                 best_max, arg_max = value, point
             if improved_min:
@@ -249,10 +262,11 @@ _RECT = st.one_of(
     st.lists(_BOUND, min_size=4, max_size=4).map(_rect),
     st.tuples(_BOUND, _BOUND).map(lambda b: ComplexRect(b[0], b[0], b[1], b[1])),
 )
+# past two or three blocks, stalled targets join a block's first lane pass
 _BUDGET = st.one_of(
     st.integers(1, 40),
     st.builds(lambda blocks, offset: max(1, blocks * _BLOCK_ROWS + offset),
-              st.integers(1, 2), st.integers(-3, 3)),
+              st.integers(1, 8), st.integers(-3, 3)),
 )
 
 
@@ -266,10 +280,88 @@ _BUDGET = st.one_of(
          rng_seed=1)
 @example(branch="plus", region_alpha=UNIT, region_beta=ComplexRect(-0.0, 0.0, -0.0, 0.0),
          budget=_BLOCK_ROWS - 3, rng_seed=2)
+# the min's target is stalled at the third block's start, so its rows join
+# that block's first lane pass, and the first of them moves it
+@example(branch="plus", region_alpha=UNIT, region_beta=UNIT, budget=3 * _BLOCK_ROWS, rng_seed=15)
+# a batched proposal's real part of alpha is 0.0 before its clip into
+# [-0.0, -0.0], which keeps it, and batched rows move the targets
+@example(branch="plus", region_alpha=ComplexRect(-0.0, -0.0, -1.0, 1.0), region_beta=UNIT,
+         budget=2 * _BLOCK_ROWS, rng_seed=0)
+# beta = 0 makes every margin 0, so only the level moves, and only on a
+# row that gives a margin: around the best point, about one proposal in
+# 150 does not overflow, so a batch comes before the level moves
+@example(branch="plus", region_alpha=ComplexRect(-1e156, 1e156, 0.0, 0.0),
+         region_beta=ComplexRect(0.0, 0.0, 0.0, 0.0), budget=2 * _BLOCK_ROWS, rng_seed=0)
 def test_scan_equals_one_proposal_at_a_time(branch, region_alpha, region_beta, budget,
                                             rng_seed):
     args = (branch, region_alpha, region_beta, budget, rng_seed)
     assert _scan_outcome(scan_margin, *args) == _scan_outcome(_reference_scan, *args)
+
+
+def _passes_by_rule(log, blocks):
+    """Lane passes per block and scalar calls of scan_margin, from a reference log.
+
+    After a move, a target's next _STALL_ROWS local rows are scalar calls
+    and the row after them starts a lane pass for the rest of its rows in
+    the block; a target that is stalled at a block's start joins the
+    block's first pass.
+    """
+    passes, scalar = [1] * blocks, 0
+    quiet, batched = [0, 0], [False, False]
+    block = None
+    for kind, start, t in log:
+        if start != block:
+            block = start
+            batched = [q >= _STALL_ROWS for q in quiet]
+        if kind == "move":
+            quiet[t], batched[t] = 0, False
+            continue
+        quiet[t] += 1
+        if not batched[t] and quiet[t] <= _STALL_ROWS:
+            scalar += 1
+        elif not batched[t]:
+            passes[start // _BLOCK_ROWS] += 1
+            batched[t] = True
+    return passes, scalar
+
+
+# at rng seed 19 on the minus branch, a target's _STALL_ROWS-th quiet row
+# is its last one in three blocks, so its next row is the first it has in
+# the next block
+@pytest.mark.parametrize("branch,rng_seed", [("plus", 7), ("minus", 19)])
+def test_scan_makes_one_lane_pass_per_block_once_both_targets_stall(monkeypatch, branch,
+                                                                     rng_seed):
+    blocks = 24
+    sizes, scalar = [], []
+
+    def counting_lanes(*args):
+        sizes.append(len(args[0]))
+        return _clark_margin_lanes(*args)
+
+    def counting_margin(*args):
+        scalar.append(args)
+        return clark_margin_at(*args)
+
+    monkeypatch.setattr(ratdiff.scan, "_clark_margin_lanes", counting_lanes)
+    monkeypatch.setattr(ratdiff.stability, "clark_margin_at", counting_margin)
+    args = (branch, UNIT, UNIT, blocks * _BLOCK_ROWS, rng_seed)
+    log = []
+    assert _scan_outcome(scan_margin, *args) == _scan_outcome(_reference_scan, *args, log)
+    # a block's first pass holds its global rows; the passes after it, local rows
+    per_block = []
+    for size in sizes:
+        if size >= _BLOCK_ROWS:
+            per_block.append(0)
+        per_block[-1] += 1
+    assert (per_block, len(scalar)) == _passes_by_rule(log, blocks)
+    # a block whose first pass holds both targets' rows and in which no
+    # target moves makes that one pass only
+    both = _BLOCK_ROWS + 2 * (_BLOCK_ROWS // (2 * _REFINE_EVERY))
+    moved = {start // _BLOCK_ROWS for kind, start, _ in log if kind == "move"}
+    firsts = [size for size in sizes if size >= _BLOCK_ROWS]
+    calm = [b for b, size in enumerate(firsts) if size == both and b not in moved]
+    assert len(calm) >= blocks // 4
+    assert [per_block[b] for b in calm] == [1] * len(calm)
 
 
 def test_lane_clip_breaks_ties_as_complex_rect_clip():
