@@ -219,8 +219,8 @@ def parse_args(argv: list[str]) -> RunSpec:
 
 # the resource rule: the most points a command holds and the most cells of
 # a grid (README, "Limits").  At the point limit an orbit export peaks at
-# 75 MB RSS in JSON or CSV and 83 MB in SVG, to stdout as to --out; a grid
-# takes about 4 KB a cell whatever --steps is.
+# 75 MB RSS in every format, to stdout as to --out; a grid takes about
+# 4 KB a cell whatever --steps is.
 _MAX_POINTS = 1_000_000
 _MAX_CELLS = 512 * 512
 

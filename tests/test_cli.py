@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -456,8 +457,9 @@ _ENVELOPE_ARGV = {
 
 # sha256 of exports whose blocks move with the block size, recorded at
 # 8,192-point blocks from the SVG renderer that took its window from arrays of
-# whole orbits: two seeds over more than two blocks each, non-finite points
-# inside a block, and one seed just past two such blocks
+# whole orbits and drew each seed as one polyline: two seeds over more than
+# two blocks each, non-finite points inside a block, and one seed just past
+# two such blocks; an SVG is hashed with its polyline segments joined
 _BLOCKS_SHA256 = {
     ("svg", "two-seed"): "a789913ff8bc5cad703197d45c720b5da776564fe72fc0d5c946f4f15e62f6e1",
     ("svg", "orbit-escaped"): "23705a9eb5a91e6eecb2e28f6898fbed167022fa7fdf8de8991e9d168ca0b45a",
@@ -474,8 +476,57 @@ def test_export_bytes_across_blocks_are_pinned(fmt, name):
             "one-seed": _PINNED_ARGV[:5] + ["--steps", str(2 * 8192 + 1),
                                             "--seed=0.1+0.1i,0.2-0.1i"]}[name]
     env = dataclasses.replace(execute(parse_args(argv)), wall_time_s=0.0)
-    digest = hashlib.sha256(_emitted(env, fmt).encode()).hexdigest()
+    text = _emitted(env, fmt)
+    digest = hashlib.sha256((_merged_svg(text) if fmt == "svg" else text).encode()).hexdigest()
     assert digest == _BLOCKS_SHA256[fmt, name]
+
+
+_SEGMENT = re.compile(r'<polyline points="([^"]*)"(.*)')
+
+
+def _merged_svg(text):
+    """An orbit SVG with each seed's polyline segments joined into one
+    polyline, a later segment's first point (its predecessor's last)
+    dropped, and the seed's circles moved after it."""
+    lines, circles = [], []
+    for line in text.split("\n"):
+        segment, previous = _SEGMENT.fullmatch(line), lines and _SEGMENT.fullmatch(lines[-1])
+        if segment and previous and segment[2] == previous[2]:  # the same stroke: one seed
+            lines[-1] = f'<polyline points="{previous[1]} {segment[1].split(" ", 1)[1]}"{segment[2]}'
+        elif line.startswith("<circle"):
+            circles.append(line)
+        else:
+            lines += circles + [line]
+            circles = []
+    return "\n".join(lines)
+
+
+def test_an_orbit_svg_draws_a_segment_and_its_circles_per_block(monkeypatch):
+    # two seeds of 202 points each, over four blocks of 64 points: each
+    # block's segment is followed by that block's circles, and the
+    # segments joined give the plot drawn from one block per seed
+    argv = _PINNED_ARGV[:5] + ["--steps", "200", "--seed=0.1+0.1i,0.2-0.1i",
+                               "--seed=-0.3+0.2i,0.4+0i"]
+    env = execute(parse_args(argv))
+    whole = _emitted(env, "svg")
+    monkeypatch.setattr(ratdiff.serialize, "_BLOCK", 64)
+    text = _emitted(env, "svg")
+    assert _merged_svg(text) == whole
+    for orbit, color in zip(env.payload["orbits"], ("#1f77b4", "#ff7f0e")):
+        assert len(orbit["points"]) == 202
+        points = next(e for e in ET.fromstring(whole).iter()
+                      if e.get("stroke") == color).attrib["points"].split()
+        segments = []  # (a segment's points, the circles after it)
+        for e in ET.fromstring(text).iter():
+            if e.tag.endswith("polyline") and e.get("stroke") == color:
+                segments.append((e.attrib["points"].split(), []))
+            elif e.tag.endswith("circle") and e.get("fill") == color:
+                segments[-1][1].append(f'{e.attrib["cx"]},{e.attrib["cy"]}')
+        assert len(segments) == 4
+        assert [circles for _, circles in segments] == [points[i:i + 64] for i in range(0, 202, 64)]
+        assert segments[0][0] == points[:64]
+        for (before, _), (segment, circles) in zip(segments, segments[1:]):
+            assert segment == [before[-1]] + circles
 
 
 @pytest.mark.parametrize("name", _ENVELOPE_ARGV)
@@ -571,14 +622,13 @@ def long_orbit_envelope():
 @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
 def test_a_streamed_export_holds_no_text(chaotic_orbit_envelope, long_orbit_envelope, fmt,
                                          tmp_path):
-    # written to a path, an export holds a block at a time, never its text;
-    # the svg holds the orbit's "x,y" pairs (about 16 bytes a point) for the
-    # polyline and then the circles
+    # written to a path, an export holds a block at a time, never its text
+    # (the svg a block's polyline segment and circles), so its peak does not
+    # grow with the orbit
     peak, size = _written_peak(long_orbit_envelope, fmt, tmp_path / f"long.{fmt}")
     assert peak < 0.5 * size, f"{fmt}: peak {peak} for {size} bytes"
-    if fmt != "svg":  # the peak does not grow with the orbit
-        half_peak, _ = _written_peak(chaotic_orbit_envelope, fmt, tmp_path / f"half.{fmt}")
-        assert peak <= 1.1 * half_peak, f"{fmt}: peak {peak} at 1e5 steps, {half_peak} at 5e4"
+    half_peak, _ = _written_peak(chaotic_orbit_envelope, fmt, tmp_path / f"half.{fmt}")
+    assert peak <= 1.1 * half_peak, f"{fmt}: peak {peak} at 1e5 steps, {half_peak} at 5e4"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
@@ -601,8 +651,9 @@ _LAUNCH = ("import os, sys; argv = [sys.executable, *sys.argv[1:]]; "
 @pytest.mark.skipif(not (hasattr(os, "wait4") and sys.platform == "linux"),
                     reason="needs os.wait4 and ru_maxrss in KB")
 def test_an_svg_export_peaks_near_the_json_one(tmp_path):
-    # the svg renderer holds no array of the whole orbit, only its "x,y"
-    # text, so its process peaks within 1.5 MB of the JSON export's
+    # the svg renderer holds neither an array nor the text of the whole
+    # orbit, only a block's, so its process peaks within 1.5 MB of the JSON
+    # export's
     argv = ["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
             "--seed=0.1+0.1i,0.2-0.1i", "--steps", "100000"]
     peak_mb = {}
