@@ -15,7 +15,6 @@ np.errstate(all="ignore"), which classify_lanes and _clark_margin_lanes set.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import numpy as np
@@ -30,9 +29,8 @@ __all__ = ["classify_lanes"]
 
 # classify_lanes steps its lanes in blocks that end at every multiple of
 # _CHECK, runs the guards and the tangent once per block, and at each
-# multiple of _CHECK compares each lane's state with its last _HISTORY
-# states (_retire)
-_HISTORY = 24
+# multiple of _CHECK compares each lane's state with the states its
+# block ring holds (_retire)
 _CHECK = 32
 
 # _tangent_block renormalises before a step that could take the tangent's
@@ -222,25 +220,24 @@ def _keep(lanes: dict, keep: np.ndarray) -> None:
 
 def _decide(lanes: dict, verdicts: np.ndarray, masks: dict[str, np.ndarray]) -> None:
     """Record the verdict of each masked lane and drop it from the working arrays."""
-    done = functools.reduce(np.logical_or, masks.values())
+    done = np.logical_or.reduce(list(masks.values()))
     if done.any():
         for verdict, mask in masks.items():
             verdicts[lanes["id"][mask]] = verdict
         _keep(lanes, ~done)
 
 
-def _walk(lanes: dict, steps: int) -> None:
-    """Step every lane `steps` times from the ring's rows 0 and 1, writing
-    each new point once into the ring's next row."""
+def _walk(lanes: dict, start: int, steps: int) -> None:
+    """Step every lane `steps` times from the ring's rows start - 1 and
+    start, writing each new point once into the ring's next row."""
     re, im, ba_re, ba_im = (lanes[key] for key in ("re", "im", "ba_re", "ba_im"))
-    for r in range(1, steps + 1):  # rows r - 1 and r hold (z[m-1], z[m])
+    for r in range(start, start + steps):  # rows r - 1 and r hold (z[m-1], z[m])
         re[r + 1], im[r + 1] = _lane_step(ba_re, ba_im, re[r - 1:r + 1], im[r - 1:r + 1])
 
 
-def _complex(re: np.ndarray, im: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The complex array with parts re and im, written into out if given."""
-    if out is None:
-        out = np.empty(re.shape, dtype=complex)
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The C-contiguous complex array with parts re and im."""
+    out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
 
@@ -297,11 +294,12 @@ def _tangent_block(lanes: dict, z_re: np.ndarray, z_im: np.ndarray) -> None:
     multiply is not commutative bit for bit, so the operands keep their
     order.
     """
-    after = _renormalise_after(lanes["b"], z_re, z_im)
+    beta = _complex(lanes["ba_re"][0], lanes["ba_im"][0])
+    after = _renormalise_after(beta, z_re, z_im)
     d = np.empty(z_re[1:].shape, dtype=complex)  # 1 + z[j], as numpy's complex sum rounds it
     np.add(1.0, z_re[1:], out=d.real)
     np.add(0.0, z_im[1:], out=d.imag)
-    s = lanes["b"] / d  # numpy buffers the broadcast beta: before q, for the peak memory
+    s = beta / d  # numpy buffers the broadcast beta: before q, for the peak memory
     q = _complex(z_re[:-1], z_im[:-1])
     np.divide(q, d, out=q)
     del d
@@ -371,18 +369,17 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
     When (points[m - 1], points[m]) equals (points[m - 1 - P],
     points[m - P]) bit for bit, every later point repeats with period P
     from s = m - P - 1 on, and no guard trips again.  P is the smallest
-    such period among the recent points: before the cut, the last
-    _HISTORY + 2 points, in the ring's rows up to m + row; after it, the
-    cycle test's ring, where P must also be a period whose pair the lane
-    still holds.  The lane converges when classify_orbit's window lies at
-    or after s and settles, rebuilt from the cycle with one index
+    such period among the recent points: before the cut, every point the
+    block ring holds up to point m, in its rows up to m + row; after it,
+    the cycle test's ring, where P must also be a period whose pair the
+    lane still holds.  The lane converges when classify_orbit's window
+    lies at or after s and settles, rebuilt from the cycle with one index
     expression in either ring.  Otherwise it is periodic when
     detect_cycle's test passes with distance 0 for the rest of the tail,
     that is when P is a period the test tries.  Any other lane stays.
     """
     if m < cut:  # the cycle starts within the cut
-        rows = slice(m - _HISTORY - 1 + row, m + 1 + row)
-        re, im, held = lanes["re"][rows], lanes["im"][rows], None
+        re, im, held = lanes["re"][:m + 1 + row], lanes["im"][:m + 1 + row], None
         pos = np.arange(lanes["id"].size)
     elif "pairs" in lanes and m - cut >= periods >= 3:  # two states fit in the ring
         # the ring's columns of the lanes that hold a pair, rows in order
@@ -433,7 +430,9 @@ def classify_lanes(
     multiple of _CHECK, at the transient cut, where classify_orbit's
     orbit ends and at the last point.  Per point, the map step only
     writes the new point into a ring that holds the block and the two
-    points before it.  A decided lane leaves the working arrays at once.
+    points before it, and from the convergence window's first point to
+    the end of classify_orbit's orbit the window's points before the
+    block too.  A decided lane leaves the working arrays at once.
     At each block end, the lanes that tripped a guard within the block
     leave; the tangent estimate and, from the cut on, detect_cycle's test
     run along the block's points; and at a multiple of _CHECK the lanes
@@ -445,12 +444,12 @@ def classify_lanes(
         *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0)))]
     count = values[0].size
     # the working arrays are copies, lane axis last: the parts of (beta,
-    # alpha) in rows, as _lane_step takes them, and the ring of points,
-    # whose row i is point m0 - 1 + i while the block after point m0 runs
+    # alpha) in rows, as _lane_step takes them, and the block ring of
+    # points, whose row i is point i - row
     lanes = {"ba_re": np.stack((values[1].real, values[0].real)),
              "ba_im": np.stack((values[1].imag, values[0].imag)),
              "re": np.zeros((_CHECK + 2, count)), "im": np.zeros((_CHECK + 2, count)),
-             "b": values[1].copy(), "id": np.arange(count),
+             "id": np.arange(count),
              "w1": np.ones(count, dtype=complex),  # tangent along (z[n], z[n-1])
              "w2": np.zeros(count, dtype=complex), "log_sum": np.zeros(count)}
     lanes["re"][:2] = values[2].real, values[3].real
@@ -467,17 +466,18 @@ def classify_lanes(
     with np.errstate(all="ignore"):
         outside = [~(np.hypot(z.real, z.imag) <= esc) for z in values[2:]]
         _decide(lanes, verdicts, {VERDICT_UNBOUNDED: outside[0] | outside[1]})
-        m0, first = 1, 0  # the block steps on from point m0; its end reads from point first
+        m0, first, row = 1, 0, 0  # the block steps on from point m0; its end reads from point first
         for m1 in sorted({*range(_CHECK, last + 1, _CHECK), cut, n - 1, last}):
             if not lanes["id"].size:
                 return verdicts.tolist()
-            size = m1 - m0
-            _walk(lanes, size)
-            singular, escaped = _guard_block(lanes["re"][1:size + 2], lanes["im"][1:size + 2],
-                                             tol, esc)
+            if m1 + row >= lanes["re"].shape[0]:  # once, to hold the window to the orbit's end
+                for key in ("re", "im"):  # np.resize keeps the rows it has in place
+                    lanes[key] = np.resize(lanes[key], (n + row, lanes["id"].size))
+            _walk(lanes, m0 + row, m1 - m0)
+            rows = slice(m0 + row, m1 + row + 1)
+            singular, escaped = _guard_block(lanes["re"][rows], lanes["im"][rows], tol, esc)
             if singular is not None:
                 _decide(lanes, verdicts, {VERDICT_SINGULAR: singular, VERDICT_UNBOUNDED: escaped})
-            row = 1 - m0  # point j is in ring row j + row
             lo, hi = max(first, lt + 1, 1), min(m1, lt + ls)
             if lo <= hi:  # the tangent steps lo..hi read points lo - 1..hi
                 _tangent_block(lanes, lanes["re"][lo - 1 + row:hi + 1 + row],
@@ -491,18 +491,12 @@ def classify_lanes(
                     break
                 _cycle_step(lanes, _complex(lanes["re"][j + row], lanes["im"][j + row]), j, cut,
                             periods, analysis.cycle_tol)
-            if window and window.start <= m1 < n:  # n - 1 ends a block
-                lo = max(first, window.start)
-                if "tail" not in lanes:
-                    lanes["tail"] = np.empty((len(window), lanes["id"].size), dtype=complex)
-                rows = slice(lo + row, m1 + row + 1)
-                _complex(lanes["re"][rows], lanes["im"][rows],
-                         lanes["tail"][lo - window.start:m1 - window.start + 1])
             if m1 % _CHECK == 0 and m1 < n - 1:
                 _retire(lanes, verdicts, m1, cut, periods, window, analysis, row)
             if m1 == n - 1:  # the orbit classify_orbit iterates is complete
                 if window is not None:
-                    _, settled = _settled(np.ascontiguousarray(lanes.pop("tail").T),
+                    rows = slice(window.start + row, n + row)
+                    _, settled = _settled(_complex(lanes["re"][rows].T, lanes["im"][rows].T),
                                           analysis.convergence_tol)
                     _decide(lanes, verdicts, {VERDICT_CONVERGES: settled})
                 if "pairs" in lanes:
@@ -512,9 +506,12 @@ def classify_lanes(
                     _decide(lanes, verdicts, {VERDICT_PERIODIC: periodic})
                 if (lt < 0 or ls < 1) and lanes["id"].size:
                     raise ValueError("need n_transient >= 0 and n_sample >= 1")
-            for key in ("re", "im"):  # the block's last two points start the next
-                lanes[key][:2] = lanes[key][size:size + 2]
-            m0, first = m1, m1 + 1
+            # the block's last two points start the next, and so do the
+            # window's points from its first to the end of the orbit
+            keep = min(m1 - 1, window.start) if window and window.start <= m1 < n - 1 else m1 - 1
+            for key in ("re", "im"):
+                lanes[key][:m1 - keep + 1] = lanes[key][keep + row:m1 + row + 1]
+            m0, first, row = m1, m1 + 1, -keep
 
         # a tangent that collapsed (growth 0, as beta = 0 gives) left log_sum
         # at -inf, or at nan from the next renormalisation on: never above

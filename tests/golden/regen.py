@@ -6,7 +6,8 @@ The corpus pins what the CLI writes for a fixed set of command lines:
 every bench workload's --size tiny argv at seeds 0 and 1 (--out dropped)
 in json, csv and svg; the edge argv of the CI's entry-point step (an
 orbit that escapes at once, two seeds over more than two SVG blocks, a
-7x5 grid SVG); one relative --out argv per format; and, in json, the
+7x5 grid SVG, a grid whose convergence window starts in the first
+block); one relative --out argv per format; and, in json, the
 argv that leave a flag to its default, miss a required flag, read a
 config file or fail (exit 2 or 3).  Each entry holds the exit code, the
 sha256 of stdout with wall_time_s masked, the first stderr line and, for
@@ -45,6 +46,9 @@ EDGE_ARGV = [
      "--format", "svg"),
     ("grid", "--alpha", "1", "--beta", "1", "--vary", "seed", "--rect=-1,1,-1,1",
      "--resolution", "7x5", "--steps", "50", "--format", "svg"),
+    ("grid", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+     "--seed=0.1+0.1i,0.2-0.1i", "--vary", "beta", "--rect=-1.5,1.5,-1.5,1.5",
+     "--resolution", "8x8", "--steps", "33"),
 ]
 # argv that leave to parse_args what no other entry does: the drawn seed
 # (no --seed), the default --steps, --resolution and --rng-seed, and the

@@ -369,19 +369,26 @@ def _threshold(holds, lo, hi):
     return hi
 
 
-@pytest.mark.parametrize("params, seed", [
-    (Parameters(1 + 1j, 1 + 1j), OrbitSeed(0.5, 0.3)),  # settles: the tail's first pairs bind
-    (Parameters(0.5, 2 + 0.3j), None),  # leaves an equilibrium: the last pairs bind
-])
-def test_lanes_agree_at_decision_boundaries(params, seed):
+@pytest.mark.parametrize("params, seed, steps, window", [
+    # settles: the tail's first pairs bind
+    (Parameters(1 + 1j, 1 + 1j), OrbitSeed(0.5, 0.3), 100, 32),
+    # leaves an equilibrium: the last pairs bind
+    (Parameters(0.5, 2 + 0.3j), None, 100, 32),
+    # the window starts at point 3, inside the first block, so the block
+    # ring carries it from there to the end of the orbit
+    (Parameters(1 + 1j, 1 + 1j), OrbitSeed(0.5, 0.3), 33, 32),
+    # a window of 60 points outgrows the block ring's 34 rows
+    (Parameters(1 + 1j, 1 + 1j), OrbitSeed(0.5, 0.3), 100, 60),
+], ids=["params0-seed0", "params1-None", "window-in-the-first-block", "window-past-the-ring"])
+def test_lanes_agree_at_decision_boundaries(params, seed, steps, window):
     # tolerances sit exactly on the scalar classifier's decision boundary,
     # so a window, transient cut or ring slot one point off flips a verdict
     if seed is None:
         z_bar = equilibria(params)[1].z_bar
         seed = OrbitSeed(z_bar + 1e-9, z_bar)
-    iteration = IterationSettings(max_steps=100)
+    iteration = IterationSettings(max_steps=steps)
     orbit = iterate(params, seed, iteration)
-    quick = AnalysisSettings(lyapunov_transient=20, lyapunov_sample=50)
+    quick = AnalysisSettings(window=window, lyapunov_transient=20, lyapunov_sample=50)
     limit_tol = _threshold(
         lambda t: detect_convergence(orbit, t, quick.window) is not None, 0.0, 1.0)
     pairs = [[replace(quick, convergence_tol=tol, max_period=1)
@@ -436,7 +443,9 @@ def test_lane_tangent_step_matches_the_plain_expression_bit_for_bit():
         return rng.uniform(-2, 2, (*rows, n)) + 1j * rng.uniform(-2, 2, (*rows, n))
 
     beta, w1, w2 = draw(), draw(), draw()
-    lanes = {"b": beta, "w1": w1.copy(), "w2": w2.copy(), "log_sum": np.zeros(n)}
+    # _tangent_block reads beta from row 0 of the (beta, alpha) parts
+    lanes = {"ba_re": beta.real[None], "ba_im": beta.imag[None], "w1": w1.copy(),
+             "w2": w2.copy(), "log_sum": np.zeros(n)}
     log_sum = np.zeros(n)
     steps = ratdiff.lanes._CHECK
     for _ in range(3):
@@ -617,14 +626,7 @@ _QUICK = AnalysisSettings(lyapunov_transient=50, lyapunov_sample=100)
 
 def _lane_and_orbit(monkeypatch, beta, seed, steps, analysis=_QUICK):
     """(classify_lanes' verdict, classify_orbit's verdict, steps the lane took)."""
-    taken = []
-    real = ratdiff.lanes._lane_step
-
-    def counting(ba_re, *rest):
-        taken.append(ba_re.shape[-1])
-        return real(ba_re, *rest)
-
-    monkeypatch.setattr(ratdiff.lanes, "_lane_step", counting)
+    taken = _count_lanes(monkeypatch)
     iteration = IterationSettings(max_steps=steps)
     [verdict] = classify_lanes(_ALPHA, beta, seed.z_minus1, seed.z_0, iteration, analysis)
     expected = classify_orbit(Parameters(_ALPHA, beta), seed, iteration, analysis).verdict
@@ -671,7 +673,7 @@ def test_lanes_rebuild_the_window_of_a_retired_lane_bit_for_bit(monkeypatch, bet
 
 
 def test_history_repeats_compare_bits_and_report_the_smallest_period():
-    rows = ratdiff.lanes._HISTORY + 2
+    rows = ratdiff.lanes._CHECK + 2  # a full block ring
     m = 5 * rows + 3
     k = np.arange(m - rows + 1, m + 1)  # the points the history holds, in order
     lanes = [
@@ -720,11 +722,26 @@ def test_lanes_retire_a_cycle_before_the_cut(monkeypatch):
 
 
 def test_lanes_retire_a_cycle_longer_than_the_history(monkeypatch):
-    # period 48 from point 971 on, past the history of the last states;
-    # the cycle test's ring finds it once every period has been tried
-    assert ratdiff.lanes._HISTORY < 48
+    # period 48 from point 971 on, longer than any repeat the block ring
+    # can show; the cycle test's ring finds it once every period has been
+    # tried
+    assert ratdiff.lanes._CHECK < 48
     assert _lane_and_orbit(monkeypatch, -0.234375 - 1.171875j, _SEED, 4000) == (
         "periodic", "periodic", 2143)
+
+
+@pytest.mark.parametrize("beta, verdict, taken", [
+    (-0.796875 + 0.234375j, "converges", 479),
+    (-0.890625 - 0.234375j, "converges", 767),
+    (-0.796875 - 0.890625j, "periodic", 927),
+    (0.234375 - 1.265625j, "periodic", 1215),
+])
+def test_lanes_retire_a_repeat_anywhere_in_the_block_ring(monkeypatch, beta, verdict, taken):
+    # the state repeats with a period of 26 to 32, long before the cut at
+    # 2,001: a check at a multiple of 32 sees the repeat only in all 34
+    # rows of the block ring, or the lane stays until the cycle test's
+    # ring decides it at point 2,144
+    assert _lane_and_orbit(monkeypatch, beta, _SEED, 4000) == (verdict, verdict, taken)
 
 
 def test_lanes_retire_a_cycle_that_starts_after_the_cut(monkeypatch):

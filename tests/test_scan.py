@@ -471,6 +471,22 @@ def test_grid_mixed_verdicts_match_per_cell_classification():
     assert _per_cell(pole, _FAST, _FAST_ANALYSIS) == (("singular",),)
 
 
+@pytest.mark.parametrize("vary, half, n, seed", [
+    ("seed", 1.0, 16, None),  # chaos-grid
+    ("beta", 1.5, 32, OrbitSeed(0.1 + 0.1j, 0.2 - 0.1j)),  # mixed-grid
+])
+def test_grid_matches_per_cell_classification_on_the_bench_grids(vary, half, n, seed):
+    # the bench's seed-0 grids at the CLI's 4,000 steps, with the default
+    # analysis: most bounded cells of the mixed grid leave the batch early,
+    # when their state repeats bit for bit
+    alpha, beta, *_ = cases.CHAOTIC_CASES[0]
+    spec = GridSpec(vary=vary, region=ComplexRect(-half, half, -half, half), nx=n, ny=n,
+                    params=Parameters(alpha, beta), seed=seed)
+    iteration = IterationSettings(max_steps=4000)
+    grid = classification_grid(spec, iteration)
+    assert grid.cells == _per_cell(spec, iteration, AnalysisSettings())
+
+
 @settings(max_examples=25, deadline=None)
 @given(vary=st.sampled_from(["seed", "alpha", "beta"]), alpha=_POINT, beta=_POINT,
        z_minus1=_POINT, z_0=_POINT, corner=_POINT, width=_SPAN, height=_SPAN,
