@@ -319,25 +319,26 @@ def _tangent_block(lanes: dict, z_re: np.ndarray, z_im: np.ndarray) -> None:
     lanes["w1"], lanes["w2"] = w1, w2
 
 
-def _cycle_step(lanes: dict, z: np.ndarray, m: int, cut: int, periods: int, tol: float) -> None:
-    """detect_cycle's test at point m (z, over every lane) of the tail points[cut:].
+def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float, row: int) -> None:
+    """detect_cycle's test at point m of the tail points[cut:], over every lane.
 
-    lanes["ring"] keeps every lane's last `periods` points, point k in row
-    k % periods, and a (period, lane) pair stays in lanes["pairs"] while
-    every pair of tail points that far apart has held.  Once every period
-    has been tried and no pair is left, the test ends.
+    The block ring holds point k in row k + row, back to point m - periods
+    or to the cut if later, and a (period, lane) pair stays in
+    lanes["pairs"] while every pair of tail points that far apart has
+    held.  Once every period has been tried and no pair is left, it ends.
     """
-    ring, pairs = lanes["ring"], lanes["pairs"]
+    re, im, pairs = lanes["re"], lanes["im"], lanes["pairs"]
     period, lane = pairs["period"], pairs["pos"]
     if 1 <= m - cut <= periods:  # period m - cut meets its first pair
-        period = np.concatenate((period, np.full(z.size, m - cut)))
-        lane = np.concatenate((lane, np.arange(z.size)))
-    past = ring[(m - period) % periods, lane]
-    held = np.abs(z[lane] - past) <= tol * (1 + np.abs(past))
+        period = np.concatenate((period, np.full(re.shape[1], m - cut)))
+        lane = np.concatenate((lane, np.arange(re.shape[1])))
+    z = _complex(re[m + row], im[m + row])[lane]
+    at = (m - period + row) * re.shape[1] + lane  # flat: take gathers faster than [rows, lane]
+    past = _complex(re.take(at), im.take(at))
+    held = np.abs(z - past) <= tol * (1 + np.abs(past))
     pairs["period"], pairs["pos"] = period[held], lane[held]
-    ring[m % periods] = z
     if m - cut >= periods and not pairs["pos"].size:
-        del lanes["ring"], lanes["pairs"]
+        del lanes["pairs"]
 
 
 def _repeats(re: np.ndarray, im: np.ndarray,
@@ -369,26 +370,23 @@ def _retire(lanes: dict, verdicts: np.ndarray, m: int, cut: int, periods: int,
     When (points[m - 1], points[m]) equals (points[m - 1 - P],
     points[m - P]) bit for bit, every later point repeats with period P
     from s = m - P - 1 on, and no guard trips again.  P is the smallest
-    such period among the recent points: before the cut, every point the
-    block ring holds up to point m, in its rows up to m + row; after it,
-    the cycle test's ring, where P must also be a period whose pair the
-    lane still holds.  The lane converges when classify_orbit's window
-    lies at or after s and settles, rebuilt from the cycle with one index
-    expression in either ring.  Otherwise it is periodic when
-    detect_cycle's test passes with distance 0 for the rest of the tail,
-    that is when P is a period the test tries.  Any other lane stays.
+    such period among the points the block ring holds up to point m, in
+    its rows up to m + row; after the cut, once every period has been
+    tried, P must also be a period whose pair the lane still holds.  The
+    lane converges when classify_orbit's window lies at or after s and
+    settles, rebuilt from the cycle with one index expression.  Otherwise
+    it is periodic when detect_cycle's test passes with distance 0 for the
+    rest of the tail, that is when P is a period the test tries.  Any
+    other lane stays.
     """
+    re, im = lanes["re"][:m + 1 + row], lanes["im"][:m + 1 + row]
     if m < cut:  # the cycle starts within the cut
-        re, im, held = lanes["re"][:m + 1 + row], lanes["im"][:m + 1 + row], None
-        pos = np.arange(lanes["id"].size)
-    elif "pairs" in lanes and m - cut >= periods >= 3:  # two states fit in the ring
-        # the ring's columns of the lanes that hold a pair, rows in order
-        pairs = lanes["pairs"]
-        pos, lane = np.unique(pairs["pos"], return_inverse=True)
-        ring = lanes["ring"][np.ix_(np.arange(m - periods + 1, m + 1) % periods, pos)]
-        re, im = ring.real, ring.imag
-        held = np.zeros((periods + 1, pos.size), dtype=bool)
-        held[pairs["period"], lane] = True
+        held, pos = None, np.arange(lanes["id"].size)
+    elif "pairs" in lanes and m - cut >= periods:  # so re holds periods + 1 rows or more
+        pos, lane = np.unique(lanes["pairs"]["pos"], return_inverse=True)
+        re, im = re[:, pos], im[:, pos]  # the lanes that hold a pair
+        held = np.zeros(re.shape, dtype=bool)
+        held[lanes["pairs"]["period"], lane] = True
     else:
         return
     cols, period = _repeats(re, im, held)
@@ -429,10 +427,10 @@ def classify_lanes(
     reference orbit when that is longer, in blocks that end at every
     multiple of _CHECK, at the transient cut, where classify_orbit's
     orbit ends and at the last point.  Per point, the map step only
-    writes the new point into a ring that holds the block and the two
-    points before it, and from the convergence window's first point to
-    the end of classify_orbit's orbit the window's points before the
-    block too.  A decided lane leaves the working arrays at once.
+    writes the new point into a ring that holds the block and, before
+    it, the points a later test reads: the last two, the window's from
+    its first to classify_orbit's last, the cycle test's last max_period
+    from the cut on.  A decided lane leaves the working arrays at once.
     At each block end, the lanes that tripped a guard within the block
     leave; the tangent estimate and, from the cut on, detect_cycle's test
     run along the block's points; and at a multiple of _CHECK the lanes
@@ -454,7 +452,8 @@ def classify_lanes(
              "w2": np.zeros(count, dtype=complex), "log_sum": np.zeros(count)}
     lanes["re"][:2] = values[2].real, values[3].real
     lanes["im"][:2] = values[2].imag, values[3].imag
-    verdicts = np.full(count, VERDICT_UNDETERMINED, dtype=object)
+    verdicts = np.empty(count, dtype=object)
+    verdicts[:] = VERDICT_UNDETERMINED  # one str object for every lane
     n = settings.max_steps + 2  # points of a completed orbit, seed included
     cut = _transient_cut(n, analysis.max_period)
     periods = min(analysis.max_period, n - cut - 1)  # detect_cycle tries 1..periods
@@ -470,9 +469,12 @@ def classify_lanes(
         for m1 in sorted({*range(_CHECK, last + 1, _CHECK), cut, n - 1, last}):
             if not lanes["id"].size:
                 return verdicts.tolist()
-            if m1 + row >= lanes["re"].shape[0]:  # once, to hold the window to the orbit's end
-                for key in ("re", "im"):  # np.resize keeps the rows it has in place
-                    lanes[key] = np.resize(lanes[key], (n + row, lanes["id"].size))
+            if m1 + row >= lanes["re"].shape[0]:  # once: no later carry keeps more rows
+                for key in ("re", "im"):  # np.resize would keep a larger buffer behind a view
+                    grown = np.empty((max(periods + _CHECK + 2, len(window or ())),
+                                      lanes["id"].size))
+                    grown[:m0 + row + 1] = lanes[key][:m0 + row + 1]
+                    lanes[key] = grown
             _walk(lanes, m0 + row, m1 - m0)
             rows = slice(m0 + row, m1 + row + 1)
             singular, escaped = _guard_block(lanes["re"][rows], lanes["im"][rows], tol, esc)
@@ -483,14 +485,11 @@ def classify_lanes(
                 _tangent_block(lanes, lanes["re"][lo - 1 + row:hi + 1 + row],
                                lanes["im"][lo - 1 + row:hi + 1 + row])
             if m1 == cut and periods >= 1:  # the cycle test starts at the cut
-                lanes["ring"] = np.empty((periods, lanes["id"].size), dtype=complex)
-                lanes["pairs"] = {"pos": np.empty(0, dtype=np.intp),
-                                  "period": np.empty(0, dtype=np.intp)}
+                lanes["pairs"] = dict.fromkeys(("pos", "period"), np.empty(0, dtype=np.intp))
             for j in range(max(first, cut), m1 + 1):
                 if "pairs" not in lanes:
                     break
-                _cycle_step(lanes, _complex(lanes["re"][j + row], lanes["im"][j + row]), j, cut,
-                            periods, analysis.cycle_tol)
+                _cycle_step(lanes, j, cut, periods, analysis.cycle_tol, row)
             if m1 % _CHECK == 0 and m1 < n - 1:
                 _retire(lanes, verdicts, m1, cut, periods, window, analysis, row)
             if m1 == n - 1:  # the orbit classify_orbit iterates is complete
@@ -502,13 +501,13 @@ def classify_lanes(
                 if "pairs" in lanes:
                     periodic = np.zeros(lanes["id"].size, dtype=bool)
                     periodic[lanes.pop("pairs")["pos"]] = True
-                    del lanes["ring"]
                     _decide(lanes, verdicts, {VERDICT_PERIODIC: periodic})
                 if (lt < 0 or ls < 1) and lanes["id"].size:
                     raise ValueError("need n_transient >= 0 and n_sample >= 1")
-            # the block's last two points start the next, and so do the
-            # window's points from its first to the end of the orbit
-            keep = min(m1 - 1, window.start) if window and window.start <= m1 < n - 1 else m1 - 1
+            # keep from the earliest point a later test reads: the walk's last
+            # two, the window's first to the orbit's end, the cycle test's periods
+            keep = min(m1 - 1, window.start if window and m1 < n - 1 else m1,
+                       max(cut, m1 + 1 - periods) if "pairs" in lanes else m1)
             for key in ("re", "im"):
                 lanes[key][:m1 - keep + 1] = lanes[key][keep + row:m1 + row + 1]
             m0, first, row = m1, m1 + 1, -keep

@@ -7,11 +7,13 @@ every bench workload's --size tiny argv at seeds 0 and 1 (--out dropped)
 in json, csv and svg; the edge argv of the CI's entry-point step (an
 orbit that escapes at once, two seeds over more than two SVG blocks, a
 7x5 grid SVG, a grid whose convergence window starts in the first
-block); one relative --out argv per format; and, in json, the
-argv that leave a flag to its default, miss a required flag, read a
-config file or fail (exit 2 or 3).  Each entry holds the exit code, the
-sha256 of stdout with wall_time_s masked, the first stderr line and, for
-an --out argv, the sha256 of the file, its wall_time_s masked too.
+block, a 32x32 grid at 3,000 steps whose period-48 and period-80 cells
+leave through the cycle test after the transient cut); one relative
+--out argv per format; and, in json, the argv that leave a flag to its
+default, miss a required flag, read a config file or fail (exit 2 or
+3).  Each entry holds the exit code, the sha256 of stdout with
+wall_time_s masked, the first stderr line and, for an --out argv, the
+sha256 of the file, its wall_time_s masked too.
 tests/test_golden.py replays every entry through cli.main in process.
 
 Regenerate only for a change that means to change output, and name the
@@ -49,6 +51,9 @@ EDGE_ARGV = [
     ("grid", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
      "--seed=0.1+0.1i,0.2-0.1i", "--vary", "beta", "--rect=-1.5,1.5,-1.5,1.5",
      "--resolution", "8x8", "--steps", "33"),
+    ("grid", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+     "--seed=0.1+0.1i,0.2-0.1i", "--vary", "beta", "--rect=-1.5,1.5,-1.5,1.5",
+     "--resolution", "32x32", "--steps", "3000"),
 ]
 # argv that leave to parse_args what no other entry does: the drawn seed
 # (no --seed), the default --steps, --resolution and --rng-seed, and the

@@ -754,6 +754,49 @@ def test_lanes_retire_a_cycle_that_starts_after_the_cut(monkeypatch):
         "converges", "converges", 447)
 
 
+# bench cells at 3,000 steps, cut at 1,501: states that repeat every 48
+# points from point 971 and every 80 from point 1,878, a converging lane
+# that repeats after the cut, one that stays to the end, and chaos
+_AFTER_THE_CUT = [-0.234375 - 1.171875j, 0.421875 - 1.078125j, -0.328125 - 0.984375j,
+                  -0.515625 - 0.890625j, 0.82956 + 0.8221j]
+
+
+@pytest.mark.parametrize("max_period, window", [
+    (1, 32), (2, 32), (3, 32),  # the cycle test reads 1 to 3 points back
+    (48, 32),  # the period-48 lane holds its pair only if every point 48 back is kept
+    (200, 32),  # the ring grows to max_period + 34 rows, past the default's 162
+    (128, 200), (3, 60),  # windows longer than max_period + _CHECK: it grows to theirs
+])
+def test_lanes_carry_what_the_cycle_test_and_the_window_read(max_period, window):
+    analysis = replace(_QUICK, max_period=max_period, window=window)
+    iteration = IterationSettings(max_steps=3000)
+    expected = [classify_orbit(Parameters(_ALPHA, beta), _SEED, iteration, analysis).verdict
+                for beta in _AFTER_THE_CUT]
+    assert classify_lanes(_ALPHA, np.array(_AFTER_THE_CUT), _SEED.z_minus1, _SEED.z_0,
+                          iteration, analysis) == expected
+    assert (expected[0] == "periodic") == (max_period >= 48)
+
+
+_CONSTANTS = {verdict: verdict for verdict in (
+    ratdiff.analysis.VERDICT_CONVERGES, ratdiff.analysis.VERDICT_PERIODIC,
+    ratdiff.analysis.VERDICT_UNBOUNDED, ratdiff.analysis.VERDICT_CHAOTIC,
+    ratdiff.analysis.VERDICT_SINGULAR, ratdiff.analysis.VERDICT_UNDETERMINED)}
+
+
+@pytest.mark.parametrize("beta, z_0, analysis, kinds", [
+    # no exponent passes an infinite threshold: every lane stays undetermined
+    ([0.82956 + 0.8221j] * 3, [_SEED.z_0] * 3, replace(_QUICK, chaos_threshold=np.inf), 1),
+    # converges, periodic, chaotic, undetermined, an escape and the pole
+    ([-0.046875 - 0.984375j, -0.328125 - 1.171875j, 0.82956 + 0.8221j, -0.234375 - 1.265625j,
+      1e308, 0.5], [_SEED.z_0] * 5 + [-1], _QUICK, 6),
+], ids=["all-undetermined", "mixed"])
+def test_lane_verdicts_are_the_module_constants(beta, z_0, analysis, kinds):
+    verdicts = classify_lanes(_ALPHA, np.array(beta), _SEED.z_minus1, np.array(z_0),
+                              IterationSettings(max_steps=600), analysis)
+    assert len(set(verdicts)) == kinds
+    assert all(verdict is _CONSTANTS[verdict] for verdict in verdicts)
+
+
 def test_lanes_keep_a_cycle_whose_onset_is_inside_the_window(monkeypatch):
     # the period-2 cycle starts at point 398 and the state repeats at 401;
     # at 418 steps the window starts at point 388, before the onset, so
