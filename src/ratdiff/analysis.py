@@ -103,12 +103,23 @@ def _settled(tails: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.abs(tails - mean[..., None]).max(axis=-1) <= tol
 
 
-def _transient_cut(n: int, max_period: int) -> int:
-    # first half, stretched to at least 500 when the tail stays usable
+def _transient_cut(n: int, max_period: int) -> tuple[int, int]:
+    """detect_cycle's (cut, periods) for n points: it tries periods 1 to periods on
+    points[cut:], where cut is n // 2, raised to 500 while the tail outlasts max_period."""
     cut = n // 2
     if 500 > cut and n - 500 > max_period:
         cut = 500
-    return cut
+    return cut, min(max_period, n - cut - 1)
+
+
+def _locked(z: np.ndarray, past: np.ndarray, tol: float) -> np.ndarray:
+    """The cycle test, pair by pair: |z - past| <= tol*(1 + |past|)."""
+    return np.abs(z - past) <= tol * (1 + np.abs(past))
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| as np.hypot of the parts: CPython abs's bits, which np.abs need not give."""
+    return np.hypot(z.real, z.imag)
 
 
 def detect_cycle(
@@ -118,36 +129,26 @@ def detect_cycle(
 ) -> CycleReport | None:
     """Minimal locked period of the orbit tail, or None.
 
-    After discarding a transient prefix (the first half of the orbit, at
-    least 500 points when affordable), the smallest p <=
-    max_period with |z[n+p] - z[n]| <= tol*(1 + |z[n]|) across the whole
-    tail is reported.  Scanning p upward makes the reported period
-    minimal by construction.
+    The smallest of _transient_cut's periods p for which every pair (z[n],
+    z[n+p]) of the tail points[cut:] passes _locked is reported: scanning
+    p upward makes it minimal.  The onset is the first point from which
+    every pair passes, and the residual the largest |z[n+p] - z[n]| of the
+    tail; both take their moduli from _modulus, whatever SIMD code numpy
+    dispatches.
     """
     if orbit.status != STATUS_COMPLETED:
         return None
     pts = np.asarray(orbit.points, dtype=complex)
-    transient = _transient_cut(len(pts), max_period)
-    tail = pts[transient:]
-    if len(tail) < 2:
-        return None
-    scale = 1 + np.abs(tail)
-    for p in range(1, min(max_period, len(tail) - 1) + 1):
-        dist = np.abs(tail[p:] - tail[:-p])
-        if np.all(dist <= tol * scale[:-p]):
-            # walk the lock backwards into the transient for the onset
-            onset = transient
-            while onset > 0:
-                a, b = pts[onset - 1], pts[onset - 1 + p]
-                if abs(b - a) > tol * (1 + abs(a)):
-                    break
-                onset -= 1
-            return CycleReport(
-                period=p,
-                cycle_points=tuple(complex(z) for z in tail[-p:]),
-                onset=onset,
-                residual=float(dist.max()),
-            )
+    cut, periods = _transient_cut(len(pts), max_period)
+    tail = pts[cut:]
+    for p in range(1, periods + 1):
+        if np.all(_locked(tail[p:], tail[:-p], tol)):
+            # the pairs before the cut apart from the tail's, for the peak memory
+            gap = _modulus(pts[p:cut + p] - pts[:cut])
+            missed = np.flatnonzero(gap > tol * (1 + _modulus(pts[:cut])))
+            onset = int(missed[-1]) + 1 if missed.size else 0
+            residual = float(_modulus(tail[p:] - tail[:-p]).max())
+            return CycleReport(p, tuple(complex(z) for z in tail[-p:]), onset, residual)
     return None
 
 

@@ -199,6 +199,11 @@ def step(
     return (params.alpha + params.alpha * z_curr + params.beta * z_prev) / denom
 
 
+def _overflow(what: str, params: Parameters) -> GuardTripped:
+    return GuardTripped(STATUS_ESCAPED, f"{what} overflows a double at "
+                                        f"alpha = {params.alpha!r}, beta = {params.beta!r}")
+
+
 def _within(z: complex, radius: float) -> bool:
     """abs(z) <= radius, False where the modulus overflows a double."""
     try:

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import Orbit, Parameters, STATUS_SINGULAR, VERDICT_UNBOUNDED, _within
+from .core import Orbit, Parameters, STATUS_SINGULAR, VERDICT_UNBOUNDED, _overflow, _within
 
 __all__ = [
     "VERDICT_FINITE_LIMIT",
@@ -118,10 +118,13 @@ def trichotomy(params: Parameters) -> TrichotomyClass:
     unbounded; below, a finite limit.  This transplants the real-parameter
     trichotomy to moduli and is a predictor, not a theorem: bounded
     higher-period and chaotic orbits do occur strictly inside
-    |beta| < |alpha + 1|.
+    |beta| < |alpha + 1|.  A modulus above the largest double raises
+    GuardTripped (STATUS_ESCAPED).
     """
-    lhs = abs(params.beta)
-    rhs = abs(params.alpha + 1)
+    try:
+        lhs, rhs = abs(params.beta), abs(params.alpha + 1)
+    except OverflowError:
+        raise _overflow("|beta| or |alpha + 1|", params) from None
     if abs(lhs - rhs) <= _TRICHOTOMY_BAND:
         verdict = VERDICT_PERIOD_TWO
     elif lhs > rhs + _TRICHOTOMY_BAND:

@@ -15,13 +15,14 @@ np.errstate(all="ignore"), which classify_lanes and _clark_margin_lanes set.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 
 from .analysis import (VERDICT_CHAOTIC, VERDICT_CONVERGES, VERDICT_PERIODIC, VERDICT_SINGULAR,
-                       VERDICT_UNBOUNDED, VERDICT_UNDETERMINED, AnalysisSettings, _settled,
-                       _transient_cut)
+                       VERDICT_UNBOUNDED, VERDICT_UNDETERMINED, AnalysisSettings, _locked,
+                       _modulus, _settled, _transient_cut)
 from .core import IterationSettings
 from .stability import BRANCH_MINUS
 
@@ -33,8 +34,8 @@ __all__ = ["classify_lanes"]
 # block ring holds (_retire)
 _CHECK = 32
 
-# _tangent_block renormalises before a step that could take the tangent's
-# growth since the last renormalisation past this factor, up or down
+# _tangent_block renormalises only after a block's last step when the product
+# of its step bounds stays within this factor, and after every step otherwise
 _GROWTH_LIMIT = 2.0 ** 900
 
 
@@ -251,12 +252,12 @@ def _renormalise_after(beta: np.ndarray, z_re: np.ndarray, z_im: np.ndarray) -> 
     (w1, w2) to (w2, w1/s + q*w2), divides it by at most
     max(1, 1/|s| + |q|).  Over the lanes, with d = 1 + z[j] and d_prev =
     1 + z[j-1], |s| <= max|beta| / min|d|, 1/|s| <= max|d| / min|beta| and
-    |q| <= (1 + max|d_prev|) / min|d|.  The last step renormalises, and
-    so does each step after which the product of these bounds since the
-    last renormalisation would pass _GROWTH_LIMIT.  Lanes with beta = 0
-    stay out of min|beta|: their tangent is 0 after two steps at any
-    scale.  A square of |d| that overflows or underflows only makes a
-    bound infinite, which renormalises at every step.
+    |q| <= (1 + max|d_prev|) / min|d|.  Only the last step renormalises
+    while the product of these bounds, each taken as at least 1, stays
+    within _GROWTH_LIMIT (math.prod: left to right, and inf, not a warning,
+    where it overflows); otherwise every step does, as in lyapunov_max.
+    Lanes with beta = 0 stay out of min|beta|: their tangent is 0 after two
+    steps at any scale.  A nan or infinite bound renormalises every step.
     """
     b_abs = np.abs(beta)
     b_max = np.maximum.reduce(b_abs, initial=0.0)
@@ -268,13 +269,8 @@ def _renormalise_after(beta: np.ndarray, z_re: np.ndarray, z_im: np.ndarray) -> 
     d_max = np.sqrt(np.maximum.reduce(d_sq, axis=1, initial=0.0))
     q = (1 + d_max[:-1]) / d_min
     bounds = np.maximum(b_max / d_min * (1 + q), d_max[1:] / b_min + q)
-    after, growth = {bounds.size - 1}, 1.0
-    for k, bound in enumerate(bounds.tolist()):
-        if k and not growth * bound <= _GROWTH_LIMIT:  # a nan bound renormalises too
-            after.add(k - 1)
-            growth = 1.0
-        growth *= max(bound, 1.0)
-    return after
+    within = math.prod(np.maximum(bounds, 1.0).tolist()) <= _GROWTH_LIMIT
+    return set(range(bounds.size - 1 if within else 0, bounds.size))
 
 
 def _tangent_block(lanes: dict, z_re: np.ndarray, z_im: np.ndarray) -> None:
@@ -320,7 +316,7 @@ def _tangent_block(lanes: dict, z_re: np.ndarray, z_im: np.ndarray) -> None:
 
 
 def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float, row: int) -> None:
-    """detect_cycle's test at point m of the tail points[cut:], over every lane.
+    """detect_cycle's test, _locked, at point m of the tail points[cut:], over every lane.
 
     The block ring holds point k in row k + row, back to point m - periods
     or to the cut if later, and a (period, lane) pair stays in
@@ -335,7 +331,7 @@ def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float, row: in
     z = _complex(re[m + row], im[m + row])[lane]
     at = (m - period + row) * re.shape[1] + lane  # flat: take gathers faster than [rows, lane]
     past = _complex(re.take(at), im.take(at))
-    held = np.abs(z - past) <= tol * (1 + np.abs(past))
+    held = _locked(z, past, tol)
     pairs["period"], pairs["pos"] = period[held], lane[held]
     if m - cut >= periods and not pairs["pos"].size:
         del lanes["pairs"]
@@ -433,10 +429,10 @@ def classify_lanes(
     from the cut on.  A decided lane leaves the working arrays at once.
     At each block end, the lanes that tripped a guard within the block
     leave; the tangent estimate and, from the cut on, detect_cycle's test
-    run along the block's points; and at a multiple of _CHECK the lanes
-    whose state repeats bit for bit leave with the verdict the repeat
-    fixes (_retire).  Where classify_orbit's orbit ends, the settled
-    windows and the locked cycles leave.
+    (_transient_cut, _locked) run along the block's points; and at a
+    multiple of _CHECK the lanes whose state repeats bit for bit leave
+    with the verdict the repeat fixes (_retire).  Where classify_orbit's
+    orbit ends, the settled windows and the locked cycles leave.
     """
     values = [np.ravel(v) for v in np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (alpha, beta, z_minus1, z_0)))]
@@ -455,15 +451,14 @@ def classify_lanes(
     verdicts = np.empty(count, dtype=object)
     verdicts[:] = VERDICT_UNDETERMINED  # one str object for every lane
     n = settings.max_steps + 2  # points of a completed orbit, seed included
-    cut = _transient_cut(n, analysis.max_period)
-    periods = min(analysis.max_period, n - cut - 1)  # detect_cycle tries 1..periods
+    cut, periods = _transient_cut(n, analysis.max_period)  # detect_cycle tries 1..periods
     lt, ls = analysis.lyapunov_transient, analysis.lyapunov_sample
     last = max(n - 1, lt + ls + 1)  # lyapunov_max's reference orbit holds points[:lt + ls + 2]
     window = range(n)[-analysis.window:] if n >= analysis.window else None
     tol, esc = settings.singular_tol, settings.escape_radius
 
     with np.errstate(all="ignore"):
-        outside = [~(np.hypot(z.real, z.imag) <= esc) for z in values[2:]]
+        outside = [~(_modulus(z) <= esc) for z in values[2:]]
         _decide(lanes, verdicts, {VERDICT_UNBOUNDED: outside[0] | outside[1]})
         m0, first, row = 1, 0, 0  # the block steps on from point m0; its end reads from point first
         for m1 in sorted({*range(_CHECK, last + 1, _CHECK), cut, n - 1, last}):

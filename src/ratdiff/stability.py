@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import STATUS_ESCAPED, STATUS_SINGULAR, GuardTripped, IterationSettings, Parameters, step
+from .core import STATUS_SINGULAR, GuardTripped, IterationSettings, Parameters, _overflow, step
 
 __all__ = [
     "BRANCH_MINUS",
@@ -145,11 +145,6 @@ def linearization(params: Parameters, eq: Equilibrium) -> CharCoeffs:
         return CharCoeffs.of(beta * z / (denom * denom), -beta / denom)
     except OverflowError:
         raise _overflow("the linearization", params) from None
-
-
-def _overflow(what: str, params: Parameters) -> GuardTripped:
-    return GuardTripped(STATUS_ESCAPED, f"{what} overflows a double at "
-                                        f"alpha = {params.alpha!r}, beta = {params.beta!r}")
 
 
 def clark_margin_at(params: Parameters, branch: str) -> float:

@@ -8,7 +8,9 @@ in json, csv and svg; the edge argv of the CI's entry-point step (an
 orbit that escapes at once, two seeds over more than two SVG blocks, a
 7x5 grid SVG, a grid whose convergence window starts in the first
 block, a 32x32 grid at 3,000 steps whose period-48 and period-80 cells
-leave through the cycle test after the transient cut); one relative
+leave through the cycle test after the transient cut, a period-6 orbit
+whose residual has the bits of CPython's abs whatever SIMD code numpy
+dispatches); one relative
 --out argv per format; and, in json, the argv that leave a flag to its
 default, miss a required flag, read a config file or fail (exit 2 or
 3).  Each entry holds the exit code, the sha256 of stdout with
@@ -54,6 +56,8 @@ EDGE_ARGV = [
     ("grid", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
      "--seed=0.1+0.1i,0.2-0.1i", "--vary", "beta", "--rect=-1.5,1.5,-1.5,1.5",
      "--resolution", "32x32", "--steps", "3000"),
+    ("period", "--alpha", "-0.63+1.8i", "--beta", "0.59-1.46i", "--seed=0.19+1.27i,0.26-0.95i",
+     "--steps", "4000"),
 ]
 # argv that leave to parse_args what no other entry does: the drawn seed
 # (no --seed), the default --steps, --resolution and --rng-seed, and the

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -106,6 +107,31 @@ def test_cycle_closure_under_iteration():
     for _ in range(report.period):
         z_prev, z_curr = z_curr, step(p, z_prev, z_curr)
     assert abs(z_curr - start) <= max(report.residual * 10, 1e-9 * (1 + abs(start)))
+
+
+def _plain_onset_and_residual(points, period):
+    """detect_cycle's onset and residual for a locked period, in plain
+    Python: CPython's complex abs, and the onset walked back point by point."""
+    tol, cut = AnalysisSettings.cycle_tol, len(points) // 2  # the cut of a 4,000-step orbit
+    onset = cut
+    while onset > 0 and (abs(points[onset - 1 + period] - points[onset - 1])
+                         <= tol * (1 + abs(points[onset - 1]))):
+        onset -= 1
+    return onset, max(abs(points[n + period] - points[n]) for n in range(cut, len(points) - period))
+
+
+@pytest.mark.parametrize("alpha, beta, seed, period, onset", [
+    # numpy's complex abs gave a residual one ulp above CPython's here
+    (0.88 - 1.96j, -0.89 + 1.25j, (1.99 - 0.88j, 1.04 - 1.55j), 4, None),
+    (0.8407 + 0.2542j, 1.8407 + 0.2542j, (55 + 14j, 15 + 26j), 2, 17),  # the README's period 2
+    (-0.63 + 1.8j, 0.59 - 1.46j, (0.19 + 1.27j, 0.26 - 0.95j), 6, 151),  # in the golden corpus
+    (*cases.HIGHER_PERIOD_CASES[0][:4], None),
+])
+def test_cycle_onset_and_residual_match_plain_python(alpha, beta, seed, period, onset):
+    orbit = _orbit(alpha, beta, seed, 4000)
+    report = detect_cycle(orbit)
+    assert report.period == period and onset in (None, report.onset)
+    assert (report.onset, report.residual) == _plain_onset_and_residual(orbit.points, period)
 
 
 def test_cycle_none_for_chaotic():
@@ -589,7 +615,7 @@ def test_lane_tangent_near_the_pole():
 
 @pytest.mark.parametrize("beta, after", [
     (1e-300, list(range(32))),  # after every step
-    (1e-30 - 1e-30j, [8, 17, 26, 31]),
+    (1e-30 - 1e-30j, list(range(32))),  # the bounds' product passes 2**900
 ])
 def test_lane_tangent_renormalises_within_a_block(beta, after):
     # every other step shrinks w by about |beta|: without the
@@ -601,6 +627,18 @@ def test_lane_tangent_renormalises_within_a_block(beta, after):
     assert sorted(ratdiff.lanes._renormalise_after(
         np.array([beta]), z.real[:, None], z.imag[:, None])) == after
     _lanes_agree_on_the_exponent(params, _CHAOS_SEED, 200, 20, 150)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-30 - 1e-30j])
+def test_lane_tangent_schedule_warns_of_no_overflow(beta):
+    # the product of the block's bounds passes the largest double, and
+    # outside np.errstate that must not raise a RuntimeWarning
+    params = Parameters(0.2278 + 0.321j, beta)
+    z = np.array(iterate(params, _CHAOS_SEED, IterationSettings(max_steps=40)).points[8:41])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        after = ratdiff.lanes._renormalise_after(np.array([beta]), z.real[:, None], z.imag[:, None])
+    assert after == set(range(32))
 
 
 def test_lane_tangent_collapses_for_zero_beta():

@@ -996,6 +996,13 @@ _COMPLEX = st.builds(_literal, _BOUND, _BOUND)
 @example(command="equilibria", alpha="0.0+0.0i", beta="0.0+1.3407807929942597e+154i",
          seed=("0.0+0.0i", "0.0+0.0i"), steps=1, transient=0, sample=1, fmt="json",
          attached=True)
+# |beta|, then |alpha + 1|, overflows a double: exit 3, not a traceback
+@example(command="trichotomy", alpha="1.0+0.0i",
+         beta="1.2711610061536462e+308+1.2711610061536464e+308i", seed=("0.0+0.0i", "0.0+0.0i"),
+         steps=1, transient=0, sample=1, fmt="json", attached=False)
+@example(command="trichotomy", alpha="1.2711610061536462e+308+1.2711610061536464e+308i",
+         beta="1.0+0.0i", seed=("0.0+0.0i", "0.0+0.0i"), steps=1, transient=0, sample=1,
+         fmt="json", attached=False)
 def test_other_commands_exit_cleanly_with_strict_output(command, alpha, beta, seed, steps,
                                                         transient, sample, fmt, attached):
     # identities takes beta = alpha + 1 when --beta is left out: any

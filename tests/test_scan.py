@@ -496,6 +496,20 @@ def test_grid_matches_per_cell_classification_on_the_bench_grids(vary, half, n, 
 @example(vary="beta", alpha=0.2278 + 0.321j, beta=0j, z_minus1=0.1 + 0.1j, z_0=0.2 - 0.1j,
          corner=-1.5 - 1.5j, width=0.5, height=0.5, nx=4, ny=4, steps=100, window=32,
          max_period=128, transient=500, sample=5000)  # cut 51 < transient, sample past steps
+# seeds within 1e-8 of an equilibrium: orbits so short that the cycle test
+# tries n - cut - 1 periods, not max_period
+@example(vary="seed", alpha=0.2278 + 0.321j, beta=0.82956 + 0.8221j, z_minus1=0j, z_0=0j,
+         corner=0.3954716 + 1.0538185j, width=1e-8, height=1e-8, nx=4, ny=4, steps=1, window=32,
+         max_period=128, transient=500, sample=5000)
+@example(vary="seed", alpha=0.2278 + 0.321j, beta=0.82956 + 0.8221j, z_minus1=0j, z_0=0j,
+         corner=0.3954716 + 1.0538185j, width=1e-8, height=1e-8, nx=4, ny=4, steps=2, window=32,
+         max_period=128, transient=500, sample=5000)
+@example(vary="seed", alpha=0.2278 + 0.321j, beta=0.82956 + 0.8221j, z_minus1=0j, z_0=0j,
+         corner=0.3954716 + 1.0538185j, width=1e-8, height=1e-8, nx=4, ny=4, steps=3, window=32,
+         max_period=128, transient=500, sample=5000)
+@example(vary="seed", alpha=0.2278 + 0.321j, beta=0.82956 + 0.8221j, z_minus1=0j, z_0=0j,
+         corner=0.3954716 + 1.0538185j, width=1e-8, height=1e-8, nx=4, ny=4, steps=40, window=32,
+         max_period=128, transient=500, sample=5000)
 def test_grid_equals_scalar_classification(vary, alpha, beta, z_minus1, z_0, corner, width,
                                            height, nx, ny, steps, window, max_period,
                                            transient, sample):
