@@ -16,7 +16,7 @@ import numpy as np
 from .core import (STATUS_COMPLETED, STATUS_ESCAPED, STATUS_SINGULAR, VERDICT_CHAOTIC,
                    VERDICT_CONVERGES, VERDICT_PERIODIC, VERDICT_SINGULAR, VERDICT_UNBOUNDED,
                    VERDICT_UNDETERMINED, GuardTripped, IterationSettings, Orbit, OrbitSeed,
-                   Parameters, iterate, step, tangent)
+                   Parameters, _jacobian, iterate, step)
 
 __all__ = [
     "VERDICT_CONVERGES",
@@ -129,19 +129,19 @@ def detect_cycle(
 ) -> CycleReport | None:
     """Minimal locked period of the orbit tail, or None.
 
-    The smallest of _transient_cut's periods p for which every pair (z[n],
-    z[n+p]) of the tail points[cut:] passes _locked is reported: scanning
-    p upward makes it minimal.  The onset is the first point from which
-    every pair passes, and the residual the largest |z[n+p] - z[n]| of the
-    tail; both take their moduli from _modulus, whatever SIMD code numpy
-    dispatches.
+    The smallest of _transient_cut's periods p for which every pair (z[n], z[n+p]) of the
+    tail points[cut:] passes _locked is reported: p is scanned upward, over only the p whose
+    first pair passes (tested as an array: np.abs of a numpy scalar can differ in the last
+    bit).  The onset is the first point from which every pair passes, and the residual the
+    largest |z[n+p] - z[n]| of the tail; both take their moduli from _modulus, whatever SIMD
+    code numpy dispatches.
     """
     if orbit.status != STATUS_COMPLETED:
         return None
     pts = np.asarray(orbit.points, dtype=complex)
     cut, periods = _transient_cut(len(pts), max_period)
     tail = pts[cut:]
-    for p in range(1, periods + 1):
+    for p in (np.flatnonzero(_locked(tail[1:periods + 1], tail[:1], tol)) + 1).tolist():
         if np.all(_locked(tail[p:], tail[:-p], tol)):
             # the pairs before the cut apart from the tail's, for the peak memory
             gap = _modulus(pts[p:cut + p] - pts[:cut])
@@ -172,14 +172,14 @@ def _reference_orbit(params: Parameters, points: tuple[complex, ...], n_transien
 
 
 def _tangent_estimate(params: Parameters, points: tuple[complex, ...], n_transient: int,
-                      n_sample: int, singular_tol: float) -> LyapunovEstimate:
-    """lyapunov_max's estimate along the reference orbit points."""
+                      n_sample: int) -> LyapunovEstimate:
+    """lyapunov_max's estimate along the reference orbit, whose guards iterate already ran."""
     w1, w2 = 1 + 0j, 0j  # tangent components along (z[n], z[n-1])
     log_sum = 0.0
     tail_start = n_sample - max(1, n_sample // 4)
     tail: list[float] = []  # running means over the last quarter
     for k, z_prev, z_curr in zip(range(n_sample), points[n_transient:], points[n_transient + 1:]):
-        a11, a12 = tangent(params, z_prev, z_curr, singular_tol)
+        a11, a12 = _jacobian(params.beta, z_prev, 1 + z_curr)
         w1, w2 = a11 * w1 + a12 * w2, w1
         growth = math.hypot(abs(w1), abs(w2))
         if growth == 0:
@@ -220,7 +220,7 @@ def lyapunov_max(
     Raises GuardTripped when a guard trips within the sampled orbit.
     """
     points = _reference_orbit(params, (seed.z_minus1, seed.z_0), n_transient, n_sample, settings)
-    return _tangent_estimate(params, points, n_transient, n_sample, settings.singular_tol)
+    return _tangent_estimate(params, points, n_transient, n_sample)
 
 
 def lyapunov_divergence_oracle(
@@ -301,7 +301,7 @@ def classify_orbit(
         points = _reference_orbit(params, orbit.points, lt, ls, settings)
     except GuardTripped as exc:
         return OrbitClassification(_GUARD_VERDICTS[exc.status])
-    estimate = _tangent_estimate(params, points, lt, ls, settings.singular_tol)
+    estimate = _tangent_estimate(params, points, lt, ls)
     if estimate.lambda_max > analysis.chaos_threshold:
         return OrbitClassification(VERDICT_CHAOTIC, lyapunov=estimate)
     return OrbitClassification(VERDICT_UNDETERMINED, lyapunov=estimate)

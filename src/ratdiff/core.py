@@ -269,5 +269,9 @@ def tangent(
     beta/(1+z_curr); the map is holomorphic away from the pole, so these
     are the complex derivatives.  Raises GuardTripped as step() does.
     """
-    denom = _denominator(z_curr, singular_tol)
-    return -params.beta * z_prev / (denom * denom), params.beta / denom
+    return _jacobian(params.beta, z_prev, _denominator(z_curr, singular_tol))
+
+
+def _jacobian(beta: complex, z_prev: complex, denom: complex) -> tuple[complex, complex]:
+    """tangent's (a11, a12) for denom = 1 + z_curr, unguarded."""
+    return -beta * z_prev / (denom * denom), beta / denom

@@ -154,10 +154,10 @@ def _rel(lhs: complex, rhs: complex) -> float:
 def check_identities(params: Parameters, orbit: Orbit) -> IdentityReport:
     """Maximum relative residuals of the exact identities over an orbit.
 
-    Requires beta = alpha + 1 (HypothesisError otherwise) and a
-    nonsingular orbit with at least one iterate.  The identities are
-    algebraically exact in that regime, so residuals beyond rounding
-    noise indicate a bug.
+    Requires beta = alpha + 1 (HypothesisError otherwise) and a nonsingular orbit with at
+    least one iterate.  The identities are algebraically exact in that regime, so residuals
+    beyond rounding noise indicate a bug.  A residual whose modulus overflows a double (as
+    an escaped orbit's last iterate can give) raises GuardTripped (STATUS_ESCAPED).
     """
     alpha, beta = params.alpha, params.beta
     if not _within(beta - (alpha + 1), _PERIOD_TWO_TOL):
@@ -177,18 +177,21 @@ def check_identities(params: Parameters, orbit: Orbit) -> IdentityReport:
     j_curr = _j(alpha, z(-1), z(0))
     prod = 1 + 0j
     gap0 = z(1) - z(-1)
-    for n in range(n_max):
-        denom = 1 + z(n)
-        gap = z(n + 1) - z(n - 1)
-        r9 = max(r9, _rel(gap, j_curr / denom))
-        if n + 1 < n_max:
-            j_next = _j(alpha, z(n), z(n + 1))
-            r8 = max(r8, _rel(j_next, (alpha + 1) / denom * j_curr))
-            j_curr = j_next
-        if n >= 1:
-            r10 = max(r10, _rel(gap, (alpha + 1) / denom * (z(n) - z(n - 2))))
-            prod *= (alpha + 1) / denom
-            r11 = max(r11, _rel(gap, gap0 * prod))
+    try:  # abs() raises where a residual's finite parts have a modulus above the largest double
+        for n in range(n_max):
+            denom = 1 + z(n)
+            gap = z(n + 1) - z(n - 1)
+            r9 = max(r9, _rel(gap, j_curr / denom))
+            if n + 1 < n_max:
+                j_next = _j(alpha, z(n), z(n + 1))
+                r8 = max(r8, _rel(j_next, (alpha + 1) / denom * j_curr))
+                j_curr = j_next
+            if n >= 1:
+                r10 = max(r10, _rel(gap, (alpha + 1) / denom * (z(n) - z(n - 2))))
+                prod *= (alpha + 1) / denom
+                r11 = max(r11, _rel(gap, gap0 * prod))
+    except OverflowError:
+        raise _overflow("an identity residual", params) from None
     return IdentityReport(
         j_recurrence=r8, gap_from_j=r9, gap_recursion=r10, gap_product=r11
     )

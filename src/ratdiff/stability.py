@@ -17,7 +17,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .core import STATUS_SINGULAR, GuardTripped, IterationSettings, Parameters, _overflow, step
+from .core import (STATUS_SINGULAR, GuardTripped, IterationSettings, Parameters, _jacobian,
+                   _overflow, step)
 
 __all__ = [
     "BRANCH_MINUS",
@@ -142,7 +143,7 @@ def linearization(params: Parameters, eq: Equilibrium) -> CharCoeffs:
     try:  # abs() raises where finite parts have a modulus above the largest double
         if abs(denom) < IterationSettings.singular_tol:
             raise GuardTripped(STATUS_SINGULAR, f"equilibrium at the map pole: z = {z!r}", value=z)
-        return CharCoeffs.of(beta * z / (denom * denom), -beta / denom)
+        return CharCoeffs.of(*_jacobian(-beta, z, denom))  # (A, C) = -(a11, a12) at zbar
     except OverflowError:
         raise _overflow("the linearization", params) from None
 

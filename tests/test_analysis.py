@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 import ratdiff.analysis
 import ratdiff.lanes
 from ratdiff import (
+    STATUS_COMPLETED,
     AnalysisSettings,
     GuardTripped,
     IterationSettings,
+    Orbit,
     OrbitSeed,
     Parameters,
     classify_lanes,
@@ -132,6 +134,28 @@ def test_cycle_onset_and_residual_match_plain_python(alpha, beta, seed, period, 
     report = detect_cycle(orbit)
     assert report.period == period and onset in (None, report.onset)
     assert (report.onset, report.residual) == _plain_onset_and_residual(orbit.points, period)
+
+
+def _plain_period(points):
+    """detect_cycle's period in plain Python: every period tried on the whole tail."""
+    tol = AnalysisSettings.cycle_tol
+    cut, periods = ratdiff.analysis._transient_cut(len(points), AnalysisSettings.max_period)
+    return next((p for p in range(1, periods + 1)
+                 if all(abs(points[n + p] - points[n]) <= tol * (1 + abs(points[n]))
+                        for n in range(cut, len(points) - p))), None)
+
+
+@pytest.mark.parametrize("points, period", [
+    # chaotic: every period misses, on the 20,000-step orbit of the bench's period query
+    (_orbit(0.2278 + 0.3210j, 0.82956 + 0.8221j, (0.1 + 0.1j, 0.2 - 0.1j), 20_000).points, None),
+    # period 1's first pair (1, 1) passes and its tail fails; period 3 locks
+    ((5j, 6j, 7j, 8j, 9j, 10j, 11j, 12j, 1, 1, 2, 1, 1, 2, 1, 1), 3),
+    # period 1's first pair passes and fails later in the tail: no period locks
+    ((5j, 6j, 7j, 8j, 9j, 10j, 1, 1, 1, 1, 1, 2), None),
+])
+def test_cycle_period_matches_plain_python(points, period):
+    report = detect_cycle(Orbit(OrbitSeed(*points[:2]), points, STATUS_COMPLETED))
+    assert (report and report.period) == _plain_period(points) == period
 
 
 def test_cycle_none_for_chaotic():

@@ -1003,6 +1003,10 @@ _COMPLEX = st.builds(_literal, _BOUND, _BOUND)
 @example(command="trichotomy", alpha="1.2711610061536462e+308+1.2711610061536464e+308i",
          beta="1.0+0.0i", seed=("0.0+0.0i", "0.0+0.0i"), steps=1, transient=0, sample=1,
          fmt="json", attached=False)
+# the orbit escapes at its first iterate, whose identity residual overflows a double: exit 3
+@example(command="identities", alpha="1.2711610061536462e+308+1.2711610061536464e+308i",
+         beta="0.0+0.0i", seed=("0.0+0.0i", "0.0+0.0i"), steps=1, transient=0, sample=1,
+         fmt="json", attached=False)
 def test_other_commands_exit_cleanly_with_strict_output(command, alpha, beta, seed, steps,
                                                         transient, sample, fmt, attached):
     # identities takes beta = alpha + 1 when --beta is left out: any

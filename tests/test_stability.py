@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratdiff import (
     CharCoeffs,
+    Equilibrium,
     GuardTripped,
     Parameters,
     characteristic_roots,
@@ -14,6 +17,7 @@ from ratdiff import (
     equilibria,
     equilibrium_residual,
     linearization,
+    tangent,
 )
 from ratdiff.lanes import _clark_margin_lanes, _sqrt
 from ratdiff.stability import BRANCH_MINUS, BRANCH_PLUS
@@ -164,6 +168,36 @@ def test_linearization_matches_equal_parameter_displays():
             2 * a * (-1 + 2 * a + s) / (1 + 2 * a + s) ** 2, rel=1e-9)
         assert abs(co_hi.C) == pytest.approx(abs(1 + 2 * a - s) / 2, rel=1e-9)
         checked += 1
+
+
+_PART = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e300,
+                                   -1e300, 1.5e308, -1.5e308]),
+                  st.floats(-3, 3))
+_VALUE = st.one_of(st.builds(complex, _PART, _PART), st.builds(complex, _PART))  # or real-only
+
+
+def _hexes(*values):
+    return [part.hex() for z in values for part in (z.real, z.imag)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha=_VALUE, beta=_VALUE, z_prev=_VALUE, z=_VALUE)
+def test_tangent_and_linearization_share_the_jacobian_bit_for_bit(alpha, beta, z_prev, z):
+    # (a11, a12) at (z_prev, z), and (A, C) = -(a11, a12) at the equilibrium z,
+    # each as written out in full, signed zeros included
+    p, d = Parameters(alpha, beta), 1 + z
+    try:
+        got = tangent(p, z_prev, z)
+    except GuardTripped:
+        pass
+    else:
+        assert _hexes(*got) == _hexes(-beta * z_prev / (d * d), beta / d)
+    try:
+        co = linearization(p, Equilibrium(z, BRANCH_MINUS))
+    except GuardTripped:
+        return
+    want = (0j, 0j) if beta == 0 else (beta * z / (d * d), -beta / d)
+    assert _hexes(co.A, co.C) == _hexes(*want)
 
 
 # --- clark margin -----------------------------------------------------------
