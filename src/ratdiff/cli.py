@@ -441,16 +441,24 @@ def execute(spec: RunSpec) -> ResultEnvelope:
     )
 
 
-def _drop_stdout() -> None:
-    # the bytes a failed write left in sys.stdout are flushed again at exit,
-    # which fails too and turns exit 3 into 120; send them to os.devnull
+def _drop(stream) -> None:
+    # the bytes a failed write left in stream are flushed again at exit,
+    # which fails too and turns the exit code into 120; send them to os.devnull
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError, ValueError):  # redirect_stdout, capsys
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
+
+
+def _exit_with(code: int, message: str) -> int:
+    try:
+        print(f"ratdiff: {message}", file=sys.stderr)
+    except OSError:  # stderr has no reader: the exit code alone tells
+        _drop(sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -461,8 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         spec = parse_args(argv)
         envelope = execute(spec)
     except UsageError as exc:
-        print(f"ratdiff: {exc}", file=sys.stderr)
-        return 2
+        return _exit_with(2, str(exc))
     except SystemExit as exc:
         if exc.code != 2:  # --help and --version exit 0
             raise
@@ -472,13 +479,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         emit(envelope, fmt, spec.out)
     except FormatError as exc:
-        print(f"ratdiff: --format: {exc}", file=sys.stderr)
-        return 2
+        return _exit_with(2, f"--format: {exc}")
     except OSError as exc:
         if spec.out is None:
-            _drop_stdout()
-        print(f"ratdiff: {'stdout' if spec.out is None else '--out'}: {exc}", file=sys.stderr)
-        return 3
+            _drop(sys.stdout)
+        return _exit_with(3, f"{'stdout' if spec.out is None else '--out'}: {exc}")
     return 0 if envelope.error is None else 3
 
 

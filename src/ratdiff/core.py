@@ -254,7 +254,6 @@ def iterate(
     return Orbit(seed, tuple(points), STATUS_COMPLETED)
 
 
-
 def tangent(
     params: Parameters,
     z_prev: complex,

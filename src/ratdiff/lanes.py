@@ -127,6 +127,7 @@ def _guard_block(z_re, z_im, singular_tol, escape_radius):
     pole = trips.argmax(axis=0) % 2 == 0
     return tripped & pole, tripped & ~pole
 
+
 def _square(re, im):
     """z**2 as CPython computes it: c_powu's (1, 0) * (z * z)."""
     return _prod(1.0, 0.0, *_prod(re, im, re, im))
@@ -328,9 +329,8 @@ def _cycle_step(lanes: dict, m: int, cut: int, periods: int, tol: float, row: in
     if 1 <= m - cut <= periods:  # period m - cut meets its first pair
         period = np.concatenate((period, np.full(re.shape[1], m - cut)))
         lane = np.concatenate((lane, np.arange(re.shape[1])))
-    z = _complex(re[m + row], im[m + row])[lane]
-    at = (m - period + row) * re.shape[1] + lane  # flat: take gathers faster than [rows, lane]
-    past = _complex(re.take(at), im.take(at))
+    at = (m + row) * re.shape[1] + lane  # flat: take gathers faster than [rows, lane]
+    z, past = (_complex(re.take(k), im.take(k)) for k in (at, at - period * re.shape[1]))
     held = _locked(z, past, tol)
     pairs["period"], pairs["pos"] = period[held], lane[held]
     if m - cut >= periods and not pairs["pos"].size:
@@ -488,15 +488,15 @@ def classify_lanes(
             if m1 % _CHECK == 0 and m1 < n - 1:
                 _retire(lanes, verdicts, m1, cut, periods, window, analysis, row)
             if m1 == n - 1:  # the orbit classify_orbit iterates is complete
+                settled, periodic = np.zeros((2, lanes["id"].size), dtype=bool)
                 if window is not None:
                     rows = slice(window.start + row, n + row)
                     _, settled = _settled(_complex(lanes["re"][rows].T, lanes["im"][rows].T),
                                           analysis.convergence_tol)
-                    _decide(lanes, verdicts, {VERDICT_CONVERGES: settled})
                 if "pairs" in lanes:
-                    periodic = np.zeros(lanes["id"].size, dtype=bool)
                     periodic[lanes.pop("pairs")["pos"]] = True
-                    _decide(lanes, verdicts, {VERDICT_PERIODIC: periodic})
+                _decide(lanes, verdicts, {VERDICT_CONVERGES: settled,
+                                          VERDICT_PERIODIC: periodic & ~settled})
                 if (lt < 0 or ls < 1) and lanes["id"].size:
                     raise ValueError("need n_transient >= 0 and n_sample >= 1")
             # keep from the earliest point a later test reads: the walk's last

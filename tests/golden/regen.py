@@ -2,21 +2,19 @@
 
     PYTHONPATH=src python tests/golden/regen.py
 
-The corpus pins what the CLI writes for a fixed set of command lines:
-every bench workload's --size tiny argv at seeds 0 and 1 (--out dropped)
-in json, csv and svg; the edge argv of the CI's entry-point step (an
-orbit that escapes at once, two seeds over more than two SVG blocks, a
-7x5 grid SVG, a grid whose convergence window starts in the first
-block, a 32x32 grid at 3,000 steps whose period-48 and period-80 cells
-leave through the cycle test after the transient cut, a period-6 orbit
-whose residual has the bits of CPython's abs whatever SIMD code numpy
-dispatches); one relative
+The corpus is the one list of pinned command lines: every check that
+compares what the CLI writes for a fixed argv reads its argv here.  It
+holds every bench workload's --size tiny argv at seeds 0 and 1 (--out
+dropped) in json, csv and svg; the edge argv (EDGE_ARGV), which cross
+the export blocks, the lanes' ring and the orbit guard; one relative
 --out argv per format; and, in json, the argv that leave a flag to its
 default, miss a required flag, read a config file or fail (exit 2 or
 3).  Each entry holds the exit code, the sha256 of stdout with
 wall_time_s masked, the first stderr line and, for an --out argv, the
 sha256 of the file, its wall_time_s masked too.
-tests/test_golden.py replays every entry through cli.main in process.
+tests/test_golden.py replays every entry through cli.main in process,
+and writes every EDGE_ARGV export to --out as well, which must equal
+the export to stdout.
 
 Regenerate only for a change that means to change output, and name the
 entries that changed and why beside the change.  Regenerating to make an
@@ -41,9 +39,22 @@ _BENCH = Path(__file__).resolve().parents[2] / "bench"
 
 FORMATS = ("json", "csv", "svg")
 SEEDS = (0, 1)
-# the CI's edge argv, run as the entry-point step runs them
+# exports that cross what a small run does not: an orbit that escapes at
+# once, whose blocks hold non-finite points; orbits and grids over more
+# than two export blocks; a grid whose convergence window starts in the
+# first block; a 32x32 grid at 3,000 steps whose period-48 and period-80
+# cells leave through the cycle test after the transient cut; scans whose
+# budget crosses four (plus) and five (minus) blocks of draws; a period-6
+# orbit whose residual has the bits of CPython's abs whatever SIMD code
+# numpy dispatches
 EDGE_ARGV = [
     ("orbit", "--alpha", "0+1e308i", "--beta", "1e308", "--seed=2,0+3i", "--steps", "5",
+     "--format", "svg"),
+    ("orbit", "--alpha", "0+1e308i", "--beta", "1e308", "--seed=2,0+3i", "--steps", "5"),
+    ("orbit", "--alpha", "1", "--beta", "1", "--seed", "0.1,0.2", "--steps", "20000"),
+    ("orbit", "--alpha", "1", "--beta", "1", "--seed", "0.1,0.2", "--steps", "20000",
+     "--format", "csv"),
+    ("orbit", "--alpha", "1", "--beta", "1", "--seed", "0.1,0.2", "--steps", "20000",
      "--format", "svg"),
     ("orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
      "--seed=0.1+0.1i,0.2-0.1i", "--seed=-0.3+0.2i,0.4+0i", "--steps", "5000",
@@ -58,6 +69,10 @@ EDGE_ARGV = [
      "--resolution", "32x32", "--steps", "3000"),
     ("period", "--alpha", "-0.63+1.8i", "--beta", "0.59-1.46i", "--seed=0.19+1.27i,0.26-0.95i",
      "--steps", "4000"),
+    ("scan", "--branch", "plus", "--alpha-rect=-1,1,-1,1", "--beta-rect=-1,1,-1,1",
+     "--budget", "5000", "--rng-seed", "7", "--format", "svg"),
+    ("scan", "--branch", "minus", "--alpha-rect=-1,1,-1,1", "--beta-rect=-1,1,-1,1",
+     "--budget", "5000", "--rng-seed", "19"),
 ]
 # argv that leave to parse_args what no other entry does: the drawn seed
 # (no --seed), the default --steps, --resolution and --rng-seed, and the
@@ -77,7 +92,9 @@ DEFAULT_ARGV = [
     ("orbit", "--alpha", "1"),
 ]
 # argv that fail: an error envelope, exit 3, keeps an empty payload and is
-# JSON whatever --format asks for; a grid that varies a parameter needs --seed
+# JSON whatever --format asks for, also where |beta|, |alpha + 1| or an
+# identity residual overflows a double; a grid that varies a parameter
+# needs --seed
 ERROR_ARGV = [
     ("period", "--alpha", "1e308", "--beta", "1e308", "--seed=1e308,1e308", "--steps", "10"),
     ("period", "--alpha", "1e308", "--beta", "1e308", "--seed=1e308,1e308", "--steps", "10",
@@ -87,6 +104,9 @@ ERROR_ARGV = [
     ("equilibria", "--alpha", "1e200", "--beta", "1"),
     ("stability", "--alpha", "1e200", "--beta", "1"),
     ("grid", "--alpha", "1", "--beta", "1", "--vary", "alpha", "--rect=-1,1,-1,1", "--steps", "5"),
+    ("trichotomy", "--alpha", "1", "--beta", "1.5e308+1.5e308i"),
+    ("trichotomy", "--alpha", "1.5e308+1.5e308i", "--beta", "1"),
+    ("identities", "--alpha", "1.5e308+1.5e308i", "--seed", "0,0", "--steps", "1"),
 ]
 # a run whose config file sets the keys named unlike their RunSpec field;
 # --resolution is not a lyapunov flag, so that key is skipped
@@ -139,8 +159,9 @@ def argv_list() -> list[dict]:
     return cases
 
 
-def replay(case: dict) -> dict:
-    """Run case["argv"] through cli.main in process; the fields the corpus records.
+def run(case: dict) -> tuple[int, bytes, str, bytes | None]:
+    """Run case["argv"] through cli.main in process: (exit code, stdout,
+    stderr, the bytes of case["out"] or None where the case has no "out").
 
     Each argv runs in a fresh directory, so a relative --out path lands
     there and case["config"], if any, is the run.cfg it reads.
@@ -158,19 +179,26 @@ def replay(case: dict) -> dict:
             out = Path(case["out"]).read_bytes() if "out" in case else None
         finally:
             os.chdir(cwd)
+    return code, stdout.getvalue().encode("utf-8"), stderr.getvalue(), out
+
+
+def replay(case: dict) -> dict:
+    """The fields the corpus records for case, from one run()."""
+    code, stdout, stderr, out = run(case)
     result = {
         **case,
         "exit": code,
-        "stdout_sha256": _masked_sha256(stdout.getvalue().encode("utf-8")),
-        "stderr": stderr.getvalue().partition("\n")[0],
+        "stdout_sha256": hashlib.sha256(masked(stdout)).hexdigest(),
+        "stderr": stderr.partition("\n")[0],
     }
     if out is not None:
-        result["out_sha256"] = _masked_sha256(out)
+        result["out_sha256"] = hashlib.sha256(masked(out)).hexdigest()
     return result
 
 
-def _masked_sha256(data: bytes) -> str:
-    return hashlib.sha256(_WALL_TIME.sub(rb"\g<1>0", data)).hexdigest()
+def masked(data: bytes) -> bytes:
+    """data with the value of a JSON envelope's wall_time_s set to 0."""
+    return _WALL_TIME.sub(rb"\g<1>0", data)
 
 
 def main() -> None:

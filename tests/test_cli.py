@@ -1156,6 +1156,31 @@ def test_a_real_stdout_write_error_exits_3_with_one_line(argv, target):
     assert result.stderr.startswith("ratdiff: stdout: [Errno ")
 
 
+@pytest.mark.parametrize("argv,stdout_closed,code", [
+    (["stability", "--alpha", "1"], False, 2),
+    (["stability", "--alpha", "1", "--beta", "1", "--format", "csv"], False, 2),
+    (["orbit", "--alpha", "1", "--beta", "1", "--seed=0.1,0.2", "--steps", "20000",
+      "--format", "svg"], True, 3),
+])
+def test_a_closed_stderr_keeps_the_exit_code(argv, stdout_closed, code):
+    # `ratdiff ... 2>&1 | head -c 100`: the message has no reader either, and
+    # its failed write must neither raise nor fail again at interpreter exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    streams = []
+    for closed in (stdout_closed, True):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        streams.append(write_end if closed else subprocess.DEVNULL)
+    try:
+        result = subprocess.run([sys.executable, "-m", "ratdiff.cli", *argv], stdout=streams[0],
+                                stderr=streams[1], env=env)
+    finally:
+        for stream in streams:
+            if stream != subprocess.DEVNULL:
+                os.close(stream)
+    assert result.returncode == code
+
+
 def test_lyapunov_zero_beta_writes_minus_inf():
     # beta = 0 makes the tangent map nilpotent; the payload must stay JSON
     result = run_cli("lyapunov", "--alpha", "0.3+0.1i", "--beta", "0",
