@@ -3,18 +3,29 @@
     PYTHONPATH=src python tests/golden/regen.py
 
 The corpus is the one list of pinned command lines: every check that
-compares what the CLI writes for a fixed argv reads its argv here.  It
-holds every bench workload's --size tiny argv at seeds 0 and 1 (--out
-dropped) in json, csv and svg; the edge argv (EDGE_ARGV), which cross
-the export blocks, the lanes' ring and the orbit guard; one relative
---out argv per format; and, in json, the argv that leave a flag to its
-default, miss a required flag, read a config file or fail (exit 2 or
-3).  Each entry holds the exit code, the sha256 of stdout with
-wall_time_s masked, the first stderr line and, for an --out argv, the
-sha256 of the file, its wall_time_s masked too.
+compares what the CLI writes for a fixed argv reads its argv here, and
+argv_list() yields each case once.  It holds every bench workload's
+--size tiny argv at seeds 0 and 1 (--out dropped) in json, csv and svg;
+the edge argv (EDGE_ARGV), which cross the export blocks, the lanes'
+ring, the orbit guard and the SVG window; one relative --out argv per
+format; and, in json, the argv that leave a flag to its default, miss a
+required flag, read a config file or fail (exit 2 or 3).  Each entry
+holds the exit code, the sha256 of stdout with wall_time_s masked, the
+first stderr line and, for an --out argv, the sha256 of the file, its
+wall_time_s masked too.
 tests/test_golden.py replays every entry through cli.main in process,
 and writes every EDGE_ARGV export to --out as well, which must equal
 the export to stdout.
+
+Two checks of fixed argv in tests/test_cli.py stay apart, as they
+compare something other than the bytes written:
+test_export_bytes_across_blocks_are_pinned hashes a two-seed
+20,000-step orbit SVG with each seed's polyline segments joined into
+one, and its digest was recorded from the renderer that drew one
+polyline per seed, so no entry of written bytes can hold it; and
+test_to_json_is_json_dumps_of_the_plain_envelope requires each
+_ENVELOPE_ARGV envelope's to_json() to equal json.dumps of its plain
+fields, a rule rather than a recorded digest.
 
 Regenerate only for a change that means to change output, and name the
 entries that changed and why beside the change.  Regenerating to make an
@@ -39,6 +50,20 @@ _BENCH = Path(__file__).resolve().parents[2] / "bench"
 
 FORMATS = ("json", "csv", "svg")
 SEEDS = (0, 1)
+# plots whose window must neither collapse nor overflow: every point
+# coincides far beyond where a padding of 1.0 registers (an orbit and a
+# scan); a coincident point next to the largest double; a spread whose
+# width overflows a double
+SVG_WINDOW_ARGV = [
+    ("orbit", "--alpha", "1e300", "--beta", "1e300", "--seed=1e300,1e300", "--steps", "5",
+     "--format", "svg"),
+    ("scan", "--branch", "plus", "--alpha-rect=1e150,1e150,0,0", "--beta-rect=1e150,1e150,0,0",
+     "--budget", "3", "--format", "svg"),
+    ("orbit", "--alpha", "1", "--beta", "1", "--seed=1.7e308,1.7e308", "--steps", "5",
+     "--format", "svg"),
+    ("orbit", "--alpha", "1", "--beta", "1", "--seed=-1.7e308,1.7e308+1e308i", "--steps", "5",
+     "--format", "svg"),
+]
 # exports that cross what a small run does not: an orbit that escapes at
 # once, whose blocks hold non-finite points; orbits and grids over more
 # than two export blocks; a grid whose convergence window starts in the
@@ -46,7 +71,10 @@ SEEDS = (0, 1)
 # cells leave through the cycle test after the transient cut; scans whose
 # budget crosses four (plus) and five (minus) blocks of draws; a period-6
 # orbit whose residual has the bits of CPython's abs whatever SIMD code
-# numpy dispatches
+# numpy dispatches; a two-seed orbit SVG within one block; one seed of
+# 16,385 steps, whose 16,387 points end 3 points into a block (of 2,048
+# points, or of 8,192 as at first), in json and csv; and the
+# SVG_WINDOW_ARGV plots
 EDGE_ARGV = [
     ("orbit", "--alpha", "0+1e308i", "--beta", "1e308", "--seed=2,0+3i", "--steps", "5",
      "--format", "svg"),
@@ -73,6 +101,14 @@ EDGE_ARGV = [
      "--budget", "5000", "--rng-seed", "7", "--format", "svg"),
     ("scan", "--branch", "minus", "--alpha-rect=-1,1,-1,1", "--beta-rect=-1,1,-1,1",
      "--budget", "5000", "--rng-seed", "19"),
+    ("orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+     "--seed=0.1+0.1i,0.2-0.1i", "--seed=-0.3+0.2i,0.4+0i", "--steps", "2000",
+     "--format", "svg"),
+    ("orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+     "--seed=0.1+0.1i,0.2-0.1i", "--steps", "16385"),
+    ("orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
+     "--seed=0.1+0.1i,0.2-0.1i", "--steps", "16385", "--format", "csv"),
+    *SVG_WINDOW_ARGV,
 ]
 # argv that leave to parse_args what no other entry does: the drawn seed
 # (no --seed), the default --steps, --resolution and --rng-seed, and the
@@ -143,14 +179,18 @@ def argv_list() -> list[dict]:
         import workloads
     finally:
         sys.path.remove(str(_BENCH))
-    cases, outs = [], {}
+    # a dict keeps each argv once: a workload's exports differ only in
+    # --out and --format, and a command without a seed reads the same at
+    # every seed
+    bench, outs = {}, {}
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             for inv in workloads.invocations(name, seed, "tiny"):
                 base = _without_out(inv.argv)
-                cases += [{"argv": [*base, "--format", fmt]} for fmt in FORMATS]
+                bench.update(((*base, "--format", fmt), None) for fmt in FORMATS)
                 if inv.out is not None and seed == 0:
                     outs[inv.out] = list(inv.argv)
+    cases = [{"argv": list(argv)} for argv in bench]
     cases += [{"argv": list(argv)} for argv in EDGE_ARGV]
     cases += [{"argv": argv, "out": out} for out, argv in outs.items()]
     cases += [{"argv": list(argv)} for argv in DEFAULT_ARGV]

@@ -28,6 +28,7 @@ from ratdiff.serialize import (_BLOCK, _RENDERERS, _VERDICT_COLORS, FORMATS, For
                                _json_blocks, _plain)
 
 import cases
+from golden.regen import SVG_WINDOW_ARGV
 
 
 def run_cli(*args):
@@ -412,24 +413,9 @@ def test_envelope_json_round_trip():
     assert again == env
 
 
-# sha256 of the exports of a 2,000-step orbit of the chaotic pair, recorded
-# from the implementation that formatted every point as a literal in
-# execute and parsed it back in the CSV and SVG emitters
+# a 2,000-step orbit of the chaotic pair, whose exports the golden corpus pins
 _PINNED_ARGV = ["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i",
                 "--steps", "2000", "--seed=0.1+0.1i,0.2-0.1i"]
-_PINNED_SHA256 = {
-    "json": "d3f80d4f7f1d138c006ec015b112f43a81762729ef53fed2eb4d2d3817a3522a",
-    "csv": "03cc347c6c9ad911aa8928fe49418524fd2d6908c30f847e54570eb78210d144",
-    "svg": "7be10222c488f8b8220b741c5eaf5a10a1e80e451f88508e4e4952594ec2f7ca",
-}
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
-def test_export_bytes_are_pinned(fmt):
-    # the svg plots a second seed as well; the json has its timing zeroed
-    argv = _PINNED_ARGV + (["--seed=-0.3+0.2i,0.4+0i"] if fmt == "svg" else [])
-    env = dataclasses.replace(execute(parse_args(argv)), wall_time_s=0.0)
-    assert hashlib.sha256(_emitted(env, fmt).encode()).hexdigest() == _PINNED_SHA256[fmt]
 
 
 # an envelope of each command; together they hold two seeds of more than
@@ -455,30 +441,21 @@ _ENVELOPE_ARGV = {
 }
 
 
-# sha256 of exports whose blocks move with the block size, recorded at
-# 8,192-point blocks from the SVG renderer that took its window from arrays of
-# whole orbits and drew each seed as one polyline: two seeds over more than
-# two blocks each, non-finite points inside a block, and one seed just past
-# two such blocks; an SVG is hashed with its polyline segments joined
+# sha256 of an SVG of two seeds over more than two blocks each, hashed with
+# each seed's polyline segments joined: recorded at 8,192-point blocks from
+# the renderer that took its window from arrays of whole orbits and drew
+# each seed as one polyline, so the segments must still join into that plot
 _BLOCKS_SHA256 = {
     ("svg", "two-seed"): "a789913ff8bc5cad703197d45c720b5da776564fe72fc0d5c946f4f15e62f6e1",
-    ("svg", "orbit-escaped"): "23705a9eb5a91e6eecb2e28f6898fbed167022fa7fdf8de8991e9d168ca0b45a",
-    ("json", "one-seed"): "bfb8ff0cdd6cfdac75e24f7f7727d704d63d650e47ff58882dd4c28aa4b3ce69",
-    ("csv", "one-seed"): "09e1a34fb38734c57693f088d79a3a694d0eeae4905af8cd4a8e28a1f1090852",
 }
 
 
 @pytest.mark.parametrize("fmt,name", _BLOCKS_SHA256)
 def test_export_bytes_across_blocks_are_pinned(fmt, name):
-    argv = {"two-seed": _PINNED_ARGV[:5] + ["--steps", "20000", "--seed=0.1+0.1i,0.2-0.1i",
-                                            "--seed=-0.3+0.2i,0.4+0i"],
-            "orbit-escaped": _ENVELOPE_ARGV["orbit-escaped"],
-            "one-seed": _PINNED_ARGV[:5] + ["--steps", str(2 * 8192 + 1),
-                                            "--seed=0.1+0.1i,0.2-0.1i"]}[name]
-    env = dataclasses.replace(execute(parse_args(argv)), wall_time_s=0.0)
-    text = _emitted(env, fmt)
-    digest = hashlib.sha256((_merged_svg(text) if fmt == "svg" else text).encode()).hexdigest()
-    assert digest == _BLOCKS_SHA256[fmt, name]
+    argv = _PINNED_ARGV[:5] + ["--steps", "20000", "--seed=0.1+0.1i,0.2-0.1i",
+                               "--seed=-0.3+0.2i,0.4+0i"]
+    text = _emitted(execute(parse_args(argv)), fmt)
+    assert hashlib.sha256(_merged_svg(text).encode()).hexdigest() == _BLOCKS_SHA256[fmt, name]
 
 
 _SEGMENT = re.compile(r'<polyline points="([^"]*)"(.*)')
@@ -490,8 +467,10 @@ def _merged_svg(text):
     dropped, and the seed's circles moved after it."""
     lines, circles = [], []
     for line in text.split("\n"):
-        segment, previous = _SEGMENT.fullmatch(line), lines and _SEGMENT.fullmatch(lines[-1])
-        if segment and previous and segment[2] == previous[2]:  # the same stroke: one seed
+        # the previous line is matched only after a segment: a circle never joins
+        segment = _SEGMENT.fullmatch(line)
+        previous = segment and lines and _SEGMENT.fullmatch(lines[-1])
+        if previous and segment[2] == previous[2]:  # the same stroke: one seed
             lines[-1] = f'<polyline points="{previous[1]} {segment[1].split(" ", 1)[1]}"{segment[2]}'
         elif line.startswith("<circle"):
             circles.append(line)
@@ -695,23 +674,21 @@ _NON_FINITE_ORBIT = ["orbit", "--alpha", "0+1e308i", "--beta", "1e308",
                      "--seed=2,0+3i", "--steps", "5"]
 
 
-def test_non_finite_points_export_as_csv():
+def test_non_finite_points_export_as_csv(capsys):
     # the third point is nan+nanj: it must come out as a row float() reads
-    result = run_cli(*_NON_FINITE_ORBIT, "--format", "csv")
-    assert result.returncode == 0
-    assert "Traceback" not in result.stderr
-    rows = list(csv.reader(io.StringIO(result.stdout, newline=""), strict=True))
+    assert main([*_NON_FINITE_ORBIT, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline=""), strict=True))
     assert rows[0] == ["n", "re", "im"] and all(len(row) == 3 for row in rows)
     values = [float(v) for row in rows[1:] for v in row[1:]]
     assert values[:4] == [2.0, 0.0, 0.0, 3.0]
     assert any(not math.isfinite(v) for v in values)
 
 
-def test_non_finite_points_read_back_from_json():
-    result = run_cli(*_NON_FINITE_ORBIT)
-    assert result.returncode == 0
-    strict_json(result.stdout)
-    envelope = ResultEnvelope.from_json(result.stdout)
+def test_non_finite_points_read_back_from_json(capsys):
+    assert main(_NON_FINITE_ORBIT) == 0
+    text = capsys.readouterr().out
+    strict_json(text)
+    envelope = ResultEnvelope.from_json(text)
     points = envelope.payload["orbits"][0]["points"]
     assert points[:2] == (2 + 0j, 3j)
     assert isinstance(points[2], complex) and math.isnan(points[2].real)
@@ -729,43 +706,24 @@ def _svg_coordinates(text):
     return values
 
 
-def test_non_finite_points_are_left_out_of_the_svg():
-    result = run_cli(*_NON_FINITE_ORBIT, "--format", "svg")
-    assert result.returncode == 0
-    assert "Traceback" not in result.stderr
-    root = ET.fromstring(result.stdout)
+def test_non_finite_points_are_left_out_of_the_svg(capsys):
+    assert main([*_NON_FINITE_ORBIT, "--format", "svg"]) == 0
+    text = capsys.readouterr().out
     # the two finite seeds are plotted, the nan iterate is not
-    circles = [e for e in root.iter() if e.tag.endswith("circle")]
+    circles = [e for e in ET.fromstring(text).iter() if e.tag.endswith("circle")]
     assert len(circles) == 2
-    assert all(math.isfinite(v) for v in _svg_coordinates(result.stdout))
+    assert all(math.isfinite(v) for v in _svg_coordinates(text))
 
 
-# the sha256 of each plot was recorded from the renderer that took its
-# window from an array of every finite point
-@pytest.mark.parametrize("argv,sha256", [
-    # every point coincides far beyond where a padding of 1.0 registers
-    (["orbit", "--alpha", "1e300", "--beta", "1e300", "--seed=1e300,1e300",
-      "--steps", "5", "--format", "svg"],
-     "e3986b040bf70e90b20dcfb8aa20d70fdf4ceb2f0385ba910d141b2654041772"),
-    (["scan", "--branch", "plus", "--alpha-rect=1e150,1e150,0,0",
-      "--beta-rect=1e150,1e150,0,0", "--budget", "3", "--format", "svg"],
-     "abec220e86eb1463c49047bf54058652e8eb93b7fb47f59b74f4254410918fb3"),
-    # a coincident point next to the largest double, and a spread that overflows
-    (["orbit", "--alpha", "1", "--beta", "1", "--seed=1.7e308,1.7e308",
-      "--steps", "5", "--format", "svg"],
-     "1205fd4601f20b4b62147574f106a7cc92e9e400844ee3bd4a5ab0c811d9800b"),
-    (["orbit", "--alpha", "1", "--beta", "1", "--seed=-1.7e308,1.7e308+1e308i",
-      "--steps", "5", "--format", "svg"],
-     "994d2a2c669feaee89f8b3241d4fcbbe9e778b9d93b2c928af836e49e32f773c"),
-], ids=["argv0", "argv1", "argv2", "argv3"])
-def test_svg_window_never_collapses_or_overflows(argv, sha256):
-    result = run_cli(*argv)
-    assert result.returncode == 0
-    assert "Traceback" not in result.stderr
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == sha256
-    assert all(math.isfinite(v) for v in _svg_coordinates(result.stdout))
+# the golden corpus pins each plot's bytes, recorded from the renderer that
+# took its window from an array of every finite point
+@pytest.mark.parametrize("argv", SVG_WINDOW_ARGV)
+def test_svg_window_never_collapses_or_overflows(argv, capsys):
+    assert main(list(argv)) == 0
+    text = capsys.readouterr().out
+    assert all(math.isfinite(v) for v in _svg_coordinates(text))
     # every marker lands inside its frame (the scan's beta plane is offset by 480)
-    for element in ET.fromstring(result.stdout).iter():
+    for element in ET.fromstring(text).iter():
         if element.tag.endswith("circle"):
             assert 40 <= float(element.attrib["cx"]) % 480 <= 440
             assert 40 <= float(element.attrib["cy"]) <= 440
@@ -895,24 +853,23 @@ def test_exit_three_on_numeric_failure():
     assert envelope["error"]["type"] == "GuardTripped"
 
 
-def test_svg_label_writes_large_bounds_in_exponent_form():
-    result = run_cli("orbit", "--alpha", "1", "--beta", "1", "--seed=1.7e308,1.7e308",
-                     "--steps", "5", "--format", "svg")
-    assert result.returncode == 0
-    labels = [e.text for e in ET.fromstring(result.stdout).iter() if e.tag.endswith("text")]
+def test_svg_label_writes_large_bounds_in_exponent_form(capsys):
+    # a coincident point next to the largest double
+    assert main(list(SVG_WINDOW_ARGV[2])) == 0
+    labels = [e.text for e in ET.fromstring(capsys.readouterr().out).iter()
+              if e.tag.endswith("text")]
     window = [text for text in labels if text.startswith("re in")]
     # a fixed-point bound near 1e308 alone would be 309 digits long
     assert window and all(len(text) <= 60 for text in window)
     assert "1.615e+308" in window[0] and "-1.000" in window[0]
 
 
-def test_svg_label_writes_bounds_past_the_largest_double():
+def test_svg_label_writes_bounds_past_the_largest_double(capsys):
     # the re spread overflows, so the window is taken at scale 1/4, and its
     # padded bounds lie beyond the largest double once scaled back
-    result = run_cli("orbit", "--alpha", "1", "--beta", "1", "--seed=-1.7e308,1.7e308+1e308i",
-                     "--steps", "5", "--format", "svg")
-    assert result.returncode == 0
-    labels = [e.text for e in ET.fromstring(result.stdout).iter() if e.tag.endswith("text")]
+    assert main(list(SVG_WINDOW_ARGV[3])) == 0
+    labels = [e.text for e in ET.fromstring(capsys.readouterr().out).iter()
+              if e.tag.endswith("text")]
     window = [text for text in labels if text.startswith("re in")]
     assert window and "inf" not in window[0] and "nan" not in window[0]
     assert window[0].startswith("re in [-1.870e+308, 1.870e+308], ")
@@ -1085,13 +1042,11 @@ def test_main_help_and_version_still_exit_zero(argv, capsys):
     # the seed is outside the escape radius, so no iterate is left to check
     ["identities", "--alpha", "1", "--seed=2e6,0", "--steps", "5"],
 ])
-def test_exit_three_on_overflow(argv):
+def test_exit_three_on_overflow(argv, capsys):
     # (1 + alpha)**2 overflows a double, or the orbit escapes before the
     # command has anything to report: a numeric failure, not a crash
-    result = run_cli(*argv)
-    assert result.returncode == 3
-    assert "Traceback" not in result.stderr
-    assert strict_json(result.stdout)["error"]["type"] == "GuardTripped"
+    assert main(argv) == 3
+    assert strict_json(capsys.readouterr().out)["error"]["type"] == "GuardTripped"
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,11 +4,12 @@ tests/golden/regen.py records the corpus and documents what it holds
 and when to regenerate it.
 """
 
+import collections
 import json
 
 import pytest
 
-from golden.regen import CORPUS, EDGE_ARGV, masked, replay, run, versions
+from golden.regen import CORPUS, EDGE_ARGV, argv_list, masked, replay, run, versions
 
 
 def test_every_corpus_entry_gives_its_recorded_output():
@@ -41,3 +42,21 @@ def test_an_edge_export_to_out_equals_the_export_to_stdout(argv):
                   min(len(got), len(want)))
         pytest.fail(f"--out differs from stdout at byte {at} of {len(want)}: "
                     f"{got[at:at + 40]!r} against {want[at:at + 40]!r}")
+
+
+def _case(entry):
+    """The command line of a corpus entry or case, as one string."""
+    return json.dumps({key: entry[key] for key in ("argv", "out", "config") if key in entry})
+
+
+def test_argv_list_yields_each_case_once():
+    counts = collections.Counter(_case(case) for case in argv_list())
+    repeated = [case for case, count in counts.items() if count > 1]
+    assert not repeated, f"{len(repeated)} cases repeat, among them {repeated[:3]}"
+
+
+def test_the_corpus_records_the_cases_of_argv_list():
+    recorded = {_case(entry) for entry in json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]}
+    listed = {_case(case) for case in argv_list()}
+    assert not recorded - listed, f"recorded, no longer listed: {sorted(recorded - listed)[:3]}"
+    assert not listed - recorded, f"listed, not recorded: {sorted(listed - recorded)[:3]}"
