@@ -72,9 +72,8 @@ SVG_WINDOW_ARGV = [
 # budget crosses four (plus) and five (minus) blocks of draws; a period-6
 # orbit whose residual has the bits of CPython's abs whatever SIMD code
 # numpy dispatches; a two-seed orbit SVG within one block; one seed of
-# 16,385 steps, whose 16,387 points end 3 points into a block (of 2,048
-# points, or of 8,192 as at first), in json and csv; and the
-# SVG_WINDOW_ARGV plots
+# 16,385 steps, whose 16,387 points end 3 points into a block, in json and
+# csv; and the SVG_WINDOW_ARGV plots
 EDGE_ARGV = [
     ("orbit", "--alpha", "0+1e308i", "--beta", "1e308", "--seed=2,0+3i", "--steps", "5",
      "--format", "svg"),

@@ -467,7 +467,7 @@ def _merged_svg(text):
     dropped, and the seed's circles moved after it."""
     lines, circles = [], []
     for line in text.split("\n"):
-        # the previous line is matched only after a segment: a circle never joins
+        # only a segment joins the line before it, so only then is that line matched
         segment = _SEGMENT.fullmatch(line)
         previous = segment and lines and _SEGMENT.fullmatch(lines[-1])
         if previous and segment[2] == previous[2]:  # the same stroke: one seed
