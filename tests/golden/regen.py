@@ -17,8 +17,12 @@ tests/test_golden.py replays every entry through cli.main in process,
 and writes every EDGE_ARGV export to --out as well, which must equal
 the export to stdout.
 
-Two checks of fixed argv in tests/test_cli.py stay apart, as they
-compare something other than the bytes written:
+tests/test_cli.py's test_export_bytes_are_pinned and
+test_export_bytes_across_blocks_are_pinned run argv of their own through
+execute, some with the flags in another order, and compare with the
+digest of the entry whose parsed RunSpec is theirs, so they hold none.
+Two checks of fixed argv there stay apart, as they compare something
+other than the bytes written:
 test_export_bytes_across_blocks_are_pinned hashes a two-seed
 20,000-step orbit SVG with each seed's polyline segments joined into
 one, and its digest was recorded from the renderer that drew one

@@ -28,7 +28,9 @@ from ratdiff.serialize import (_BLOCK, _RENDERERS, _VERDICT_COLORS, FORMATS, For
                                _json_blocks, _plain)
 
 import cases
-from golden.regen import SVG_WINDOW_ARGV
+from golden.regen import CORPUS, SVG_WINDOW_ARGV, masked
+
+_CORPUS_ENTRIES = json.loads(CORPUS.read_text(encoding="utf-8"))["entries"]
 
 
 def run_cli(*args):
@@ -418,6 +420,32 @@ _PINNED_ARGV = ["orbit", "--alpha", "0.2278+0.3210i", "--beta", "0.82956+0.8221i
                 "--steps", "2000", "--seed=0.1+0.1i,0.2-0.1i"]
 
 
+def _recorded_sha256(argv):
+    """The stdout sha256 the golden corpus records for the run argv asks for.
+
+    The entry is found by its parsed RunSpec, so it may write the flags in
+    another order than argv.
+    """
+    spec = parse_args(list(argv))
+    found = [entry["stdout_sha256"] for entry in _CORPUS_ENTRIES
+             if entry["exit"] == 0 and "config" not in entry and parse_args(entry["argv"]) == spec]
+    assert len(found) == 1, f"{len(found)} corpus entries run {argv}"
+    return found[0]
+
+
+def _sha256(text):
+    """The sha256 of an export's text, its wall_time_s masked as in the corpus."""
+    return hashlib.sha256(masked(text.encode())).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_export_bytes_are_pinned(fmt):
+    # the svg plots a second seed as well; the corpus writes the flags of
+    # each run in another order
+    argv = _PINNED_ARGV + (["--seed=-0.3+0.2i,0.4+0i"] if fmt == "svg" else []) + ["--format", fmt]
+    assert _sha256(_emitted(execute(parse_args(argv)), fmt)) == _recorded_sha256(argv)
+
+
 # an envelope of each command; together they hold two seeds of more than
 # a block of points each, non-finite points, an error with an empty
 # payload, null, true, a "-inf" float, a grid's rows and a scan's pairs
@@ -441,21 +469,33 @@ _ENVELOPE_ARGV = {
 }
 
 
-# sha256 of an SVG of two seeds over more than two blocks each, hashed with
-# each seed's polyline segments joined: recorded at 8,192-point blocks from
-# the renderer that took its window from arrays of whole orbits and drew
-# each seed as one polyline, so the segments must still join into that plot
+# exports whose blocks move with the block size: two seeds over more than
+# two blocks each, non-finite points inside a block, and one seed just past
+# two 8,192-point blocks
+_BLOCKS_ARGV = {
+    "two-seed": _PINNED_ARGV[:5] + ["--steps", "20000", "--seed=0.1+0.1i,0.2-0.1i",
+                                    "--seed=-0.3+0.2i,0.4+0i"],
+    "orbit-escaped": _ENVELOPE_ARGV["orbit-escaped"],
+    "one-seed": _PINNED_ARGV[:5] + ["--steps", str(2 * 8192 + 1), "--seed=0.1+0.1i,0.2-0.1i"],
+}
+# sha256 of the two-seed SVG, hashed with each seed's polyline segments
+# joined: recorded at 8,192-point blocks from the renderer that took its
+# window from arrays of whole orbits and drew each seed as one polyline, so
+# the segments must still join into that plot; the corpus pins the others
 _BLOCKS_SHA256 = {
     ("svg", "two-seed"): "a789913ff8bc5cad703197d45c720b5da776564fe72fc0d5c946f4f15e62f6e1",
 }
 
 
-@pytest.mark.parametrize("fmt,name", _BLOCKS_SHA256)
+@pytest.mark.parametrize("fmt,name", [("svg", "two-seed"), ("svg", "orbit-escaped"),
+                                      ("json", "one-seed"), ("csv", "one-seed")])
 def test_export_bytes_across_blocks_are_pinned(fmt, name):
-    argv = _PINNED_ARGV[:5] + ["--steps", "20000", "--seed=0.1+0.1i,0.2-0.1i",
-                               "--seed=-0.3+0.2i,0.4+0i"]
+    argv = [*_BLOCKS_ARGV[name], "--format", fmt]
     text = _emitted(execute(parse_args(argv)), fmt)
-    assert hashlib.sha256(_merged_svg(text).encode()).hexdigest() == _BLOCKS_SHA256[fmt, name]
+    if (fmt, name) in _BLOCKS_SHA256:
+        assert hashlib.sha256(_merged_svg(text).encode()).hexdigest() == _BLOCKS_SHA256[fmt, name]
+    else:
+        assert _sha256(text) == _recorded_sha256(argv)
 
 
 _SEGMENT = re.compile(r'<polyline points="([^"]*)"(.*)')
